@@ -1,4 +1,4 @@
-// Instance-availability tracking for the dispatch loops: which instance
+// Instance-availability tracking for the dispatch loop: which instance
 // becomes dispatchable first, accounting for both its busy horizon
 // (free_at) and any outage windows in the FaultPlan.
 //
@@ -94,11 +94,6 @@ class AvailabilityHeap {
     }
     for (const auto& entry : parked_) heap_.push(entry);
     return found;
-  }
-
-  /// Unfiltered minimum; always present (one fresh entry per instance).
-  std::pair<double, int> peek_min() {
-    return *peek_min_where([](int) { return true; });
   }
 
  private:

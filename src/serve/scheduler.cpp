@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <optional>
-#include <queue>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -69,8 +67,8 @@ void validate_stream(const std::vector<InferenceRequest>& requests) {
 /// One queued dispatch attempt: a session step waiting to be
 /// (re)dispatched. Ordered by (ready time, id) so the initial queue
 /// replays arrival order exactly and retries merge back deterministically.
-/// Under continuous batching a session has exactly one Pending entry alive
-/// at a time (its next step), so id doubles as the session identity.
+/// A session has exactly one Pending entry alive at a time (its next
+/// step), so id doubles as the session identity.
 struct Pending {
   double ready_us = 0.0;
   int id = 0;
@@ -213,24 +211,25 @@ void BatchScheduler::price_requests(
   // aggregates. A single-step plan with share 1.0 reproduces the
   // pre-session outcome fields bit for bit (1.0 * x == x).
   const double freq = config_.nova.accel_freq_mhz;
+  const bool continuous = config_.continuous;
   step_costs.assign(requests.size(), {});
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto& plan = plans[i];
     auto& outcome = outcomes[i];
     outcome.request = requests[i];
     auto& steps = step_costs[i];
-    steps.reserve(plan.steps.size());
+    if (continuous) steps.reserve(plan.steps.size());
     double cycles = 0.0;
     std::int64_t ops = 0;
     const ShapeKey* prev = nullptr;
     for (const auto& step : plan.steps) {
       const ShapeCost& cost = costs[shape_slot.find(step.shape)->second];
-      StepCost sc;
-      sc.service_cycles = step.share * cost.service_cycles;
-      sc.wave_latency_cycles = cost.wave_latency_cycles;
-      sc.service_us = sc.service_cycles / freq;
-      steps.push_back(sc);
-      cycles += sc.service_cycles;
+      const double step_cycles = step.share * cost.service_cycles;
+      if (continuous) {
+        steps.push_back(StepCost{step_cycles, cost.wave_latency_cycles,
+                                 step_cycles / freq});
+      }
+      cycles += step_cycles;
       // One inference runs each shape's ops once however it is sliced:
       // chunks of a prefill share its shape (count it once), decode steps
       // are all distinct kv_lens (each counts).
@@ -246,191 +245,33 @@ void BatchScheduler::price_requests(
             .wave_latency_cycles;
     outcome.session_steps = plan.total_steps();
     outcome.prefill_chunks = plan.prefill_chunks;
+    // Whole-request dispatch serves the plan as ONE unit: the summed
+    // service at the first step's wave latency -- the outcome's own cost.
+    if (!continuous) {
+      steps.push_back(StepCost{cycles, outcome.wave_latency_cycles,
+                               outcome.service_us});
+    }
   }
 }
 
-double BatchScheduler::dispatch_whole(
-    const std::vector<InferenceRequest>& requests, ServeReport& report) const {
-  // Deterministic event-driven dispatch. The pending set replays arrival
-  // order exactly until a fault re-queues something; from then on retries
-  // merge back by (ready time, id), still a pure function of the inputs.
-  // With an empty FaultPlan and default FailurePolicy no fault branch
-  // below fires and the loop is byte-identical to the pre-fault FIFO walk.
-  std::vector<double> free_at(static_cast<std::size_t>(config_.instances),
-                              0.0);
-  auto& batch_hist = report.stats.histogram("serve.batch_size");
-  const sim::StatId id_batches = report.stats.counter_id("serve.batches");
-  const sim::StatId id_requests = report.stats.counter_id("serve.requests");
-  const double cycle_us = 1.0 / config_.nova.accel_freq_mhz;
-  const FaultPlan& faults = config_.faults;
-  const FailurePolicy& policy = config_.policy;
-
-  std::set<Pending> queue;
-  for (const auto& req : requests) {
-    queue.insert(Pending{req.arrival_us, req.id, 1});
-  }
-  AvailabilityHeap avail_heap(faults, free_at);
-
-  int batch_id = 0;
-  double last_finish = 0.0;
-  while (!queue.empty()) {
-    const Pending head = *queue.begin();
-    const auto& head_req = requests[static_cast<std::size_t>(head.id)];
-    auto& head_outcome = report.outcomes[static_cast<std::size_t>(head.id)];
-
-    // Earliest-available instance takes the next dispatch (ties: lowest
-    // index). Availability is the instance's free time pushed past any
-    // outage window it lands in; with no faults this is plain free_at and
-    // the choice matches the pre-fault argmin exactly.
-    const auto [avail, instance_index] = avail_heap.peek_min();
-    const auto instance = static_cast<std::size_t>(instance_index);
-    const double start = faults.next_up_us(
-        instance_index, std::max(avail, head.ready_us));
-    const double wait_us = start - head_req.arrival_us;
-
-    // Admission control on the head of the line. Overload shedding drops
-    // best-effort first-attempt work when the projected queue wait blows
-    // past the policy threshold; deadline shedding drops requests whose
-    // surrogate-priced standalone finish already misses their SLO (serving
-    // them would burn capacity on work that is late on arrival).
-    if (should_shed_overload(policy, wait_us, head_req.has_deadline(),
-                             head.attempt) ||
-        (policy.shed_on_deadline && head_req.has_deadline() &&
-         start + head_outcome.service_us >
-             head_req.arrival_us + head_req.deadline_us)) {
-      head_outcome.status = RequestStatus::kShed;
-      head_outcome.attempts = head.attempt;
-      queue.erase(queue.begin());
-      continue;
-    }
-
-    // Fuse the FIFO run of already-ready pending requests sharing head's
-    // PWL table AND phase, up to the (possibly overload-degraded) batch
-    // cap. Prefill and decode never fuse: they share no wave shape (a
-    // prefill wave streams seq_len-scaled volumes, a decode wave a single
-    // query token's), so a mixed dispatch could not reuse the broadcast
-    // flit train the overlap credit models.
-    const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    std::vector<Pending> batch{head};
-    for (auto it = std::next(queue.begin());
-         it != queue.end() && static_cast<int>(batch.size()) < cap; ++it) {
-      const auto& req = requests[static_cast<std::size_t>(it->id)];
-      if (it->ready_us > start || req.function != head_req.function ||
-          req.breakpoints != head_req.breakpoints ||
-          req.phase != head_req.phase) {
-        break;
-      }
-      batch.push_back(*it);
-    }
-    const int batch_size = static_cast<int>(batch.size());
-
-    // Batch service = sum of standalone costs minus the pipeline-overlap
-    // credit: fused members reuse the in-flight broadcast train, so every
-    // member after the first saves the pipeline fill of its first wave
-    // (wave_latency - 1 accelerator cycles). An active slowdown window
-    // stretches the whole dispatch.
-    double service_us = 0.0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& outcome =
-          report.outcomes[static_cast<std::size_t>(batch[k].id)];
-      service_us += outcome.service_us;
-      if (k != 0) {
-        service_us -=
-            std::max(0, outcome.wave_latency_cycles - 1) * cycle_us;
-      }
-    }
-    service_us = std::max(service_us, cycle_us);
-    service_us *= faults.slowdown_at(instance_index, start);
-    const double finish = start + service_us;
-
-    for (const auto& member : batch) {
-      queue.erase(member);
-    }
-    auto& inst = report.instances[instance];
-
-    // An outage window opening mid-service kills the dispatch: the work is
-    // lost, members retry after capped exponential backoff (or fail for
-    // good once their attempts are spent), and the instance sits out the
-    // window before taking new work.
-    if (const auto failed_at =
-            faults.outage_in(instance_index, start, finish)) {
-      for (const auto& member : batch) {
-        auto& outcome = report.outcomes[static_cast<std::size_t>(member.id)];
-        if (member.attempt > policy.max_retries) {
-          outcome.status = RequestStatus::kFailed;
-          outcome.attempts = member.attempt;
-        } else {
-          const double backoff_us = retry_backoff_us(
-              policy, member.attempt, member.id, config_.seed);
-          report.stats.sample("serve.backoff_us", backoff_us);
-          report.stats.bump("serve.retries");
-          queue.insert(
-              Pending{*failed_at + backoff_us, member.id, member.attempt + 1});
-        }
-      }
-      inst.failed_batches += 1;
-      inst.busy_us += *failed_at - start;
-      free_at[instance] = *failed_at;
-      avail_heap.refresh(instance_index);
-      ++batch_id;
-      continue;
-    }
-
-    for (const auto& member : batch) {
-      auto& outcome = report.outcomes[static_cast<std::size_t>(member.id)];
-      const auto& req = requests[static_cast<std::size_t>(member.id)];
-      outcome.instance = instance_index;
-      outcome.batch_id = batch_id;
-      outcome.batch_size = batch_size;
-      outcome.start_us = start;
-      outcome.finish_us = finish;
-      outcome.first_finish_us = finish;  // the whole session is one step
-      outcome.attempts = member.attempt;
-      if (req.has_deadline() && finish > req.arrival_us + req.deadline_us) {
-        outcome.status = RequestStatus::kDeadlineMiss;
-      } else if (member.attempt > 1) {
-        outcome.status = RequestStatus::kRetried;
-      } else {
-        outcome.status = RequestStatus::kOk;
-      }
-    }
-    inst.requests += batch_size;
-    inst.batches += 1;
-    inst.busy_us += service_us;
-    batch_hist.record(static_cast<double>(batch_size));
-    report.stats.bump(id_batches);
-    report.stats.bump(id_requests, static_cast<std::uint64_t>(batch_size));
-
-    free_at[instance] = finish;
-    avail_heap.refresh(instance_index);
-    last_finish = std::max(last_finish, finish);
-    ++batch_id;
-  }
-  return last_finish;
-}
-
-double BatchScheduler::dispatch_continuous(
+double BatchScheduler::dispatch(
     const std::vector<InferenceRequest>& requests,
     const std::vector<SessionPlan>& plans,
     const std::vector<std::vector<StepCost>>& step_costs,
     ServeReport& report) const {
-  // The step-clocked event loop. Scheduler-side session state: a session
-  // pins to the instance that completes its first step (the KV cache
-  // lives in that instance's memory) and every later step dispatches
-  // there; unpinned sessions (none of their steps succeeded yet) may
+  // The step-clocked event loop (policy in the header). Scheduler-side
+  // session state: a session pins to the instance that completes its first
+  // unit and every later unit dispatches there; unpinned sessions may
   // start anywhere with a free session slot. Each iteration chooses the
-  // step that can START earliest across the fleet -- among each
-  // instance's pinned queue head and the global FIFO head of
-  // not-yet-started sessions -- breaking start-time ties toward the
-  // oldest (ready_us, id) step, so backlogged prefills cannot be starved
-  // by decode trains and running sessions cannot be starved by arrivals
-  // (the slot cap bounds how many sessions interleave per instance).
+  // unit that can START earliest across the fleet -- among each instance's
+  // pinned queue head and the global FIFO head of not-yet-started
+  // sessions -- breaking start-time ties toward the oldest (ready_us, id)
+  // unit. Start time, first finish and retries spent accrue directly in
+  // the session's outcome (start_us, first_finish_us, attempts - 1); the
+  // unserved zeroing in run() clears them for sessions that never finish.
   struct Session {
     int next_step = 0;  ///< completed steps == index of the pending step
     int instance = -1;  ///< pinned instance; -1 until a step completes
-    int retries = 0;    ///< retries spent across the session so far
-    double start_us = 0.0;         ///< first successful dispatch
-    double first_finish_us = 0.0;  ///< finish of step 0
   };
   const auto n = requests.size();
   std::vector<Session> sessions(n);
@@ -438,19 +279,27 @@ double BatchScheduler::dispatch_continuous(
                               0.0);
   std::vector<int> slots_used(static_cast<std::size_t>(config_.instances), 0);
   const int slot_cap = config_.max_batch;
+  const bool continuous = config_.continuous;
 
   auto& batch_hist = report.stats.histogram("serve.batch_size");
   const sim::StatId id_batches = report.stats.counter_id("serve.batches");
   const sim::StatId id_requests = report.stats.counter_id("serve.requests");
-  const sim::StatId id_steps = report.stats.counter_id("serve.steps");
-  const sim::StatId id_preempted =
-      report.stats.counter_id("serve.preempted_steps");
+  // Step counters are continuous-only: the classic report has no step rows.
+  std::optional<sim::StatId> id_steps;
+  std::optional<sim::StatId> id_preempted;
+  if (continuous) {
+    id_steps = report.stats.counter_id("serve.steps");
+    id_preempted = report.stats.counter_id("serve.preempted_steps");
+  }
   const double cycle_us = 1.0 / config_.nova.accel_freq_mhz;
   const FaultPlan& faults = config_.faults;
   const FailurePolicy& policy = config_.policy;
 
   // Ready steps: per-instance queues of pinned sessions' next steps, one
-  // global queue of sessions that have not completed a step yet.
+  // global queue of sessions that have not completed a step yet. The
+  // global queue replays arrival order exactly until a fault re-queues
+  // something; from then on retries merge back by (ready time, id), still
+  // a pure function of the inputs.
   std::vector<std::set<Pending>> pinned_q(
       static_cast<std::size_t>(config_.instances));
   std::set<Pending> new_q;
@@ -490,6 +339,10 @@ double BatchScheduler::dispatch_continuous(
         sessions[static_cast<std::size_t>(id)].next_step)];
   };
 
+  // Reused across iterations, so a dispatch allocates nothing for its
+  // member list.
+  std::vector<Pending> batch;
+
   // Terminal outcomes (completed, shed, failed) decrement; every live
   // session owns exactly one Pending entry, so live == 0 <=> queues empty.
   std::size_t live = n;
@@ -497,7 +350,9 @@ double BatchScheduler::dispatch_continuous(
   double last_finish = 0.0;
   while (live > 0) {
     // Candidate A: the FIFO head of not-yet-started sessions on the
-    // earliest-available instance with a free session slot.
+    // earliest-available instance with a free session slot. Availability
+    // is the instance's free time pushed past any outage window it lands
+    // in; with no faults it is plain free_at.
     std::optional<Candidate> cand_new;
     if (!new_q.empty()) {
       const auto found = avail_heap.peek_min_where([&](int j) {
@@ -528,9 +383,13 @@ double BatchScheduler::dispatch_continuous(
     auto& head_outcome = report.outcomes[static_cast<std::size_t>(head.id)];
 
     // Admission control runs once per session, on its first step (any
-    // attempt of it) -- exactly the whole-request policy surface. Once a
-    // session has state on an instance, shedding it would throw the
-    // completed steps away; it runs to completion or to kFailed.
+    // attempt of it). Overload shedding drops best-effort first-attempt
+    // work when the projected queue wait blows past the policy threshold;
+    // deadline shedding drops sessions whose priced standalone finish
+    // already misses their SLO (serving them would burn capacity on work
+    // that is late on arrival). Once a session has state on an instance,
+    // shedding it would throw the completed steps away; it runs to
+    // completion or to kFailed.
     if (use_new) {
       const double wait_us = start - head_req.arrival_us;
       if (should_shed_overload(policy, wait_us, head_req.has_deadline(),
@@ -548,17 +407,19 @@ double BatchScheduler::dispatch_continuous(
     const double wait_us =
         start - (use_new ? head_req.arrival_us : head.ready_us);
 
-    // Fuse ready steps behind the head: merge-scan both queues in
-    // (ready_us, id) order, taking steps that share the head step's PWL
-    // table AND phase (chunks fuse with chunks, decode steps with decode
-    // steps) and -- unlike the whole-request FIFO run -- SKIPPING
-    // mismatches, since step order inside one instant carries no FIFO
-    // meaning at iteration granularity. Not-yet-started sessions fuse in
-    // only while slots remain, and claim theirs on success.
+    // Fuse ready steps behind the head, up to the (possibly
+    // overload-degraded) batch cap: merge-scan both queues in (ready_us,
+    // id) order, taking steps that share the head step's PWL table AND
+    // phase. Prefill and decode never fuse: they share no wave shape, so a
+    // mixed dispatch could not reuse the broadcast flit train the overlap
+    // credit models. Whole mode keeps the classic FIFO run and stops at
+    // the first mismatch; continuous mode SKIPS mismatches, since step
+    // order inside one instant carries no FIFO meaning at iteration
+    // granularity. Not-yet-started sessions fuse in only while slots
+    // remain, and claim theirs on success.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
     const SessionStep& head_step = step_of(head.id);
-    std::vector<Pending> batch{head};
-    std::vector<bool> is_new{use_new};
+    batch.assign(1, head);
     int free_slots = slots_used[instance] < slot_cap
                          ? slot_cap - slots_used[instance]
                          : 0;
@@ -583,6 +444,7 @@ double BatchScheduler::dispatch_continuous(
       if (cstep.shape.function != head_step.shape.function ||
           cstep.shape.breakpoints != head_step.shape.breakpoints ||
           cstep.phase() != head_step.phase()) {
+        if (!continuous) break;
         continue;
       }
       if (!take_pinned) {
@@ -590,20 +452,19 @@ double BatchScheduler::dispatch_continuous(
         free_slots -= 1;
       }
       batch.push_back(cand);
-      is_new.push_back(!take_pinned);
     }
     const int batch_size = static_cast<int>(batch.size());
 
-    // Step-batch service: same fusion economics as whole-request dispatch
-    // (members after the first save their pipeline fill), over per-step
-    // costs instead of per-request ones.
+    // Batch service = sum of standalone step costs minus the
+    // pipeline-overlap credit: fused members reuse the in-flight broadcast
+    // train, so every member after the first saves the pipeline fill of
+    // its first wave (wave_latency - 1 accelerator cycles). An active
+    // slowdown window stretches the whole dispatch.
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& member = batch[k];
+      const auto ms = static_cast<std::size_t>(batch[k].id);
       const StepCost& cost =
-          step_costs[static_cast<std::size_t>(member.id)][static_cast<
-              std::size_t>(
-              sessions[static_cast<std::size_t>(member.id)].next_step)];
+          step_costs[ms][static_cast<std::size_t>(sessions[ms].next_step)];
       service_us += cost.service_us;
       if (k != 0) {
         service_us -= std::max(0, cost.wave_latency_cycles - 1) * cycle_us;
@@ -613,31 +474,35 @@ double BatchScheduler::dispatch_continuous(
     service_us *= faults.slowdown_at(instance_index, start);
     const double finish = start + service_us;
 
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      if (is_new[k]) {
-        new_q.erase(batch[k]);
+    // A member came from the pinned queue exactly when its session is
+    // pinned.
+    for (const auto& member : batch) {
+      if (sessions[static_cast<std::size_t>(member.id)].instance < 0) {
+        new_q.erase(member);
       } else {
-        pinned_q[instance].erase(batch[k]);
+        pinned_q[instance].erase(member);
       }
     }
     auto& inst = report.instances[instance];
 
-    // An outage window opening mid-service preempts every step in flight:
-    // only THIS step's work is lost -- a pinned session keeps its
-    // completed steps (its KV cache survives the window on the instance)
-    // and re-queues just the killed step after backoff, which is where
-    // continuous batching's goodput-under-faults win comes from.
+    // An outage window opening mid-service kills the dispatch: the work in
+    // flight is lost, members retry after capped exponential backoff (or
+    // fail for good once their attempts are spent), and the instance sits
+    // out the window before taking new work. Only THIS step's work is
+    // lost -- a pinned session keeps its completed steps (its KV cache
+    // survives the window on the instance) and re-queues just the killed
+    // step, which is where continuous batching's goodput-under-faults win
+    // comes from; a whole-mode session retries from the start.
     if (const auto failed_at =
             faults.outage_in(instance_index, start, finish)) {
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        const auto& member = batch[k];
+      for (const auto& member : batch) {
         const auto ms = static_cast<std::size_t>(member.id);
-        auto& sess = sessions[ms];
+        const auto& sess = sessions[ms];
         auto& outcome = report.outcomes[ms];
-        report.stats.bump(id_preempted);
+        if (id_preempted) report.stats.bump(*id_preempted);
         if (member.attempt > policy.max_retries) {
           outcome.status = RequestStatus::kFailed;
-          outcome.attempts = sess.retries + member.attempt;
+          outcome.attempts += member.attempt - 1;
           if (sess.instance >= 0) {
             slots_used[static_cast<std::size_t>(sess.instance)] -= 1;
           }
@@ -666,33 +531,29 @@ double BatchScheduler::dispatch_continuous(
     }
 
     int completed = 0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& member = batch[k];
+    for (const auto& member : batch) {
       const auto ms = static_cast<std::size_t>(member.id);
       auto& sess = sessions[ms];
       auto& outcome = report.outcomes[ms];
       const auto& req = requests[ms];
-      if (sess.next_step == 0) sess.start_us = start;
-      sess.retries += member.attempt - 1;
+      if (sess.next_step == 0) outcome.start_us = start;
+      outcome.attempts += member.attempt - 1;
       if (sess.instance < 0) {
         sess.instance = instance_index;
         slots_used[instance] += 1;
       }
       sess.next_step += 1;
-      if (sess.next_step == 1) sess.first_finish_us = finish;
-      report.stats.bump(id_steps);
-      if (sess.next_step >=
-          plans[ms].total_steps()) {  // session complete
+      if (sess.next_step == 1) outcome.first_finish_us = finish;
+      if (id_steps) report.stats.bump(*id_steps);
+      if (static_cast<std::size_t>(sess.next_step) ==
+          step_costs[ms].size()) {  // session complete
         slots_used[instance] -= 1;
         completed += 1;
         live -= 1;
         outcome.instance = instance_index;
         outcome.batch_id = batch_id;
         outcome.batch_size = batch_size;
-        outcome.start_us = sess.start_us;
         outcome.finish_us = finish;
-        outcome.first_finish_us = sess.first_finish_us;
-        outcome.attempts = sess.retries + 1;
         if (req.has_deadline() &&
             finish > req.arrival_us + req.deadline_us) {
           outcome.status = RequestStatus::kDeadlineMiss;
@@ -746,12 +607,9 @@ ServeReport BatchScheduler::run(
   price_requests(requests, plans, report.outcomes, step_costs,
                  report.surrogate);
 
-  // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
+  // Phase 2: serial deterministic dispatch.
   auto& latency_hist = report.stats.histogram("serve.latency_us");
-  const double last_finish =
-      config_.continuous
-          ? dispatch_continuous(requests, plans, step_costs, report)
-          : dispatch_whole(requests, report);
+  const double last_finish = dispatch(requests, plans, step_costs, report);
 
   // Aggregates, in request order for determinism. Latency and service
   // samples cover served requests only (shed/failed outcomes never

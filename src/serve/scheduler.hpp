@@ -29,35 +29,36 @@
 //      but the read-only PWL tables (pre-warmed before fan-out;
 //      PwlLibrary::get is additionally mutex-guarded).
 //
-//   2. Dispatch (serial, deterministic): an event-driven loop assigns
-//      ready requests FIFO to the earliest-available instance (tracked in
-//      a lazily-revalidated (next_free_us, instance) min-heap). When an
-//      instance picks up work it fuses up to max_batch already-ready
-//      consecutive requests that share a PWL table (function +
-//      breakpoints) AND a phase into one dispatch: fused waves reuse the
-//      broadcast flit train back-to-back, so each extra member saves the
-//      pipeline-fill latency of its first wave (the overlap credit below).
-//      Prefill and decode requests never fuse -- they share no wave shape.
+//   2. Dispatch (serial, deterministic): one event-driven loop over
+//      session steps. Each request's session plan (serve/session.hpp) --
+//      prefill chunks plus a kv-growing decode chain -- is a chain of
+//      dispatch units: a session pins to the instance that completes its
+//      first unit (its KV cache lives there), later units become ready the
+//      moment the previous one finishes, and each iteration the
+//      earliest-startable unit wins the dispatch (ties to the oldest;
+//      instance availability comes from a lazily-revalidated
+//      (next_free_us, instance) min-heap). Up to max_batch other ready
+//      units sharing the head's PWL table (function + breakpoints) AND
+//      phase fuse in: fused waves reuse the broadcast flit train
+//      back-to-back, so each extra member saves the pipeline-fill latency
+//      of its first wave (the overlap credit). Prefill and decode never
+//      fuse -- they share no wave shape. New sessions are admitted only
+//      while the instance has a free session slot (max_batch concurrent
+//      sessions per instance), which bounds interleaving so neither
+//      admissions nor running sessions starve. Admission control
+//      (deadline/overload shedding) runs once per session, at its first
+//      unit. An outage kills only the unit in flight: the session keeps
+//      its completed units and retries just that one after backoff (the
+//      retry budget, policy.max_retries, is per unit).
 //
-//      Continuous batching (config.continuous): dispatch happens at STEP
-//      granularity instead (Orca/Sarathi-style iteration-level
-//      scheduling). Each request's session plan (serve/session.hpp) --
-//      prefill chunks plus a kv-growing decode chain -- feeds a
-//      step-clocked event loop: a session pins to the instance that
-//      completes its first step (its KV cache lives there), later steps
-//      become ready the moment the previous one finishes, and each
-//      iteration the earliest-startable step wins the dispatch (ties to
-//      the oldest step), with other ready steps of the same phase/table
-//      fusing in. New sessions are admitted only while the instance has a
-//      free session slot (max_batch concurrent sessions per instance),
-//      which bounds interleaving so neither admissions nor running
-//      sessions starve. An outage kills only the in-flight step: the
-//      session keeps its completed steps (the KV cache survives on the
-//      pinned instance) and retries just that step after backoff --
-//      whole-request dispatch, by contrast, loses the entire request.
-//      Admission control (deadline/overload shedding) runs once per
-//      session, at its first step; the per-step retry budget is
-//      policy.max_retries.
+//      config.continuous picks the unit. Continuous batching
+//      (Orca/Sarathi-style iteration-level scheduling) dispatches one
+//      plan step per unit. Whole-request mode, the default, differs in
+//      exactly two ways: every plan folds into ONE unit priced at its
+//      summed service (so an outage loses the whole request), and the
+//      fusion scan is a FIFO run that stops at the first table or phase
+//      mismatch instead of skipping it. A one-unit session frees its slot
+//      in the iteration that claims it, so the slot cap never binds there.
 //
 //      Failure awareness (config.faults + config.policy): dispatch skips
 //      instances inside an outage window; a batch whose instance fails
@@ -67,7 +68,7 @@
 //      shed at admission; and past a projected-queue-wait threshold the
 //      effective batch cap shrinks toward latency before best-effort work
 //      is shed. With the default (empty) FaultPlan and default policy the
-//      loop reduces exactly to the paragraph above: a zero-fault run is
+//      loop reduces exactly to the paragraphs above: a zero-fault run is
 //      byte-identical to a fault-free one.
 //
 // All times are simulated microseconds; the accelerator clock converts the
@@ -102,6 +103,8 @@ struct ServeConfig {
   /// Worker threads pricing requests in phase 1 (does not affect results).
   int threads = 1;
   /// Max requests fused into one instance dispatch; 1 disables batching.
+  /// Under `continuous` it is also the per-instance session-slot cap: at
+  /// most max_batch sessions hold state on one instance at a time.
   int max_batch = 8;
   /// Seed for per-request input synthesis.
   std::uint64_t seed = 42;
@@ -281,17 +284,12 @@ class BatchScheduler {
                       std::vector<std::vector<StepCost>>& step_costs,
                       SurrogateAudit& audit) const;
 
-  /// Whole-request dispatch (continuous off): the classic FIFO loop, bit
-  /// identical to the pre-session scheduler. Returns the last finish time.
-  double dispatch_whole(const std::vector<InferenceRequest>& requests,
-                        ServeReport& report) const;
-
-  /// Step-clocked continuous-batching dispatch. Returns the last finish.
-  double dispatch_continuous(
-      const std::vector<InferenceRequest>& requests,
-      const std::vector<SessionPlan>& plans,
-      const std::vector<std::vector<StepCost>>& step_costs,
-      ServeReport& report) const;
+  /// The step-clocked dispatch loop, over one-unit sessions in whole mode.
+  /// Returns the last finish time.
+  double dispatch(const std::vector<InferenceRequest>& requests,
+                  const std::vector<SessionPlan>& plans,
+                  const std::vector<std::vector<StepCost>>& step_costs,
+                  ServeReport& report) const;
 
   ServeConfig config_;
 };

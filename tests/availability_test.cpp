@@ -3,7 +3,7 @@
 //
 // The heap's whole claim is "byte-identical decisions to the scan" under
 // the dispatch loop's access pattern: interleaved free_at advances (each
-// followed by refresh), filtered peeks, and unfiltered peeks, over fault
+// followed by refresh), filtered peeks, and accept-all peeks, over fault
 // plans with outage and slowdown windows. The test drives both policies
 // through seeded random traffic and requires the SAME (availability,
 // instance) pair at every step -- including the tie-break on the lowest
@@ -25,6 +25,10 @@ using nova::serve::AvailabilityHeap;
 using nova::serve::earliest_available_linear;
 using nova::serve::FaultPlan;
 using nova::serve::FaultProfile;
+
+/// The accept-all filter: peek_min_where(accept_all) is the unfiltered
+/// minimum, always present (one fresh entry per instance).
+bool accept_all(int /*instance*/) { return true; }
 
 /// One randomized episode: a drawn fault plan, a pool of instances, and a
 /// stream of interleaved mutations and peeks. Returns the number of peeks
@@ -57,13 +61,12 @@ int run_episode(std::uint64_t seed, int instances, int steps) {
       free_at[j] += rng.uniform(0.0, 400.0);
       heap.refresh(static_cast<int>(j));
     } else if (action == 1) {
-      // Unfiltered peek: always present.
-      const auto got = heap.peek_min();
-      const auto want = earliest_available_linear(
-          faults, free_at, [](int) { return true; });
+      // Accept-all peek: always present.
+      const auto got = heap.peek_min_where(accept_all);
+      const auto want = earliest_available_linear(faults, free_at, accept_all);
+      EXPECT_TRUE(got.has_value());
       EXPECT_TRUE(want.has_value());
-      if (!want.has_value()) return peeks;
-      EXPECT_EQ(got, *want) << "unfiltered peek diverged at step " << step;
+      EXPECT_EQ(got, want) << "unfiltered peek diverged at step " << step;
       ++peeks;
     } else {
       // Filtered peek: a random subset mask, sometimes rejecting all.
@@ -77,11 +80,12 @@ int run_episode(std::uint64_t seed, int instances, int steps) {
       EXPECT_EQ(got, want) << "filtered peek diverged at step " << step;
       ++peeks;
       // A filtered peek must not disturb the heap: the very next
-      // unfiltered peek still matches the scan.
-      const auto after = heap.peek_min();
-      const auto after_want = earliest_available_linear(
-          faults, free_at, [](int) { return true; });
-      EXPECT_EQ(after, *after_want)
+      // accept-all peek still matches the scan.
+      const auto after = heap.peek_min_where(accept_all);
+      const auto after_want =
+          earliest_available_linear(faults, free_at, accept_all);
+      EXPECT_TRUE(after.has_value());
+      EXPECT_EQ(after, after_want)
           << "peek_min_where perturbed the heap at step " << step;
     }
   }
@@ -102,15 +106,16 @@ TEST(AvailabilityHeap, TieBreaksOnLowestInstance) {
   const FaultPlan faults;
   std::vector<double> free_at(4, 0.0);
   AvailabilityHeap heap(faults, free_at);
-  EXPECT_EQ(heap.peek_min(), (std::pair<double, int>{0.0, 0}));
+  EXPECT_EQ(heap.peek_min_where(accept_all),
+            (std::pair<double, int>{0.0, 0}));
   for (std::size_t j = 0; j < free_at.size(); ++j) {
     free_at[j] = 10.0;  // same key everywhere, refreshed in reverse
   }
   for (int j = 3; j >= 0; --j) heap.refresh(j);
-  EXPECT_EQ(heap.peek_min(), (std::pair<double, int>{10.0, 0}));
-  const auto want = earliest_available_linear(faults, free_at,
-                                              [](int) { return true; });
-  EXPECT_EQ(heap.peek_min(), *want);
+  EXPECT_EQ(heap.peek_min_where(accept_all),
+            (std::pair<double, int>{10.0, 0}));
+  const auto want = earliest_available_linear(faults, free_at, accept_all);
+  EXPECT_EQ(heap.peek_min_where(accept_all), want);
 }
 
 TEST(AvailabilityHeap, AllRejectedYieldsNullopt) {
@@ -123,7 +128,8 @@ TEST(AvailabilityHeap, AllRejectedYieldsNullopt) {
                                          [](int) { return false; })
                    .has_value());
   // And the rejection round-trip restored every entry.
-  EXPECT_EQ(heap.peek_min(), (std::pair<double, int>{5.0, 0}));
+  EXPECT_EQ(heap.peek_min_where(accept_all),
+            (std::pair<double, int>{5.0, 0}));
 }
 
 }  // namespace

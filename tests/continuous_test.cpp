@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/overlay.hpp"
 #include "serve/faults.hpp"
@@ -278,6 +279,63 @@ TEST(ContinuousScheduler, PreemptedSessionResumesInsteadOfRestarting) {
   // Completed steps kept their prices: the outcome's standalone service
   // cost is a plan property and must not change under retries.
   EXPECT_DOUBLE_EQ(outcome.service_us, service);
+}
+
+TEST(ContinuousScheduler, WholeModeServesAGenerationAsOneUnit) {
+  // Whole-request mode runs the same loop over one-unit sessions: a
+  // prefill plus its decode chain is dispatched once, at the summed price
+  // of the steps continuous batching would dispatch one by one, and the
+  // step counters stay out of the report.
+  std::vector<InferenceRequest> requests(1);
+  requests[0] = prefill_request(0, 0.0, 128, 3);
+
+  const auto whole = BatchScheduler(small_pool(1, 1)).run(requests);
+  auto config = small_pool(1, 1);
+  config.continuous = true;
+  config.chunk_tokens = 128;  // one prefill chunk: 4 steps in all
+  const auto steps = BatchScheduler(config).run(requests);
+
+  const auto& w = whole.outcomes[0];
+  const auto& c = steps.outcomes[0];
+  EXPECT_EQ(whole.stats.counter("serve.batches"), 1u);
+  EXPECT_EQ(steps.stats.counter("serve.batches"), 4u);
+  EXPECT_EQ(steps.stats.counter("serve.steps"), 4u);
+  // Alone on an idle instance the continuous steps run back to back, so
+  // their span is the sum of their step costs.
+  const double step_sum_us = c.finish_us - c.start_us;
+  EXPECT_NEAR(w.finish_us - w.start_us, step_sum_us, 1e-9 * step_sum_us);
+  const double freq = config.nova.accel_freq_mhz;
+  EXPECT_NEAR(static_cast<double>(w.service_cycles), step_sum_us * freq,
+              0.5 + 1e-9 * step_sum_us * freq);
+  EXPECT_EQ(w.first_finish_us, w.finish_us);
+  EXPECT_LT(c.first_finish_us, c.finish_us);
+
+  // An outage kills the whole-mode unit, not a step: the request retries
+  // from scratch and the report still has no step rows, while the
+  // continuous run reports its preempted step.
+  FaultWindow window;
+  window.start_us = 0.5 * w.finish_us;
+  window.end_us = 0.6 * w.finish_us;
+  auto faulted = small_pool(1, 1);
+  faulted.faults = FaultPlan::make({{window}});
+  const auto whole_faulted = BatchScheduler(faulted).run(requests);
+  EXPECT_EQ(whole_faulted.outcomes[0].status, RequestStatus::kRetried);
+  EXPECT_EQ(whole_faulted.instances[0].failed_batches, 1);
+  EXPECT_GE(whole_faulted.outcomes[0].start_us, window.end_us);
+  faulted.continuous = true;
+  faulted.chunk_tokens = 128;
+  const auto steps_faulted = BatchScheduler(faulted).run(requests);
+  EXPECT_EQ(steps_faulted.stats.counter("serve.preempted_steps"), 1u);
+
+  for (const auto* report : {&whole, &whole_faulted}) {
+    const std::string table = report->stats.to_table().to_ascii();
+    EXPECT_EQ(table.find("serve.steps"), std::string::npos) << table;
+    EXPECT_EQ(table.find("serve.preempted_steps"), std::string::npos)
+        << table;
+  }
+  EXPECT_NE(steps_faulted.stats.to_table().to_ascii().find(
+                "serve.preempted_steps"),
+            std::string::npos);
 }
 
 TEST(ContinuousSchedulerDeathTest, RejectsNegativeGenSteps) {

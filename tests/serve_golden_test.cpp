@@ -4,11 +4,10 @@
 // deadline scenario x batch cap x traffic seed) is served once and folded
 // into one FNV-1a digest covering every RequestOutcome field, every
 // InstanceStats field, the rendered stats table, and the report
-// aggregates (makespan, throughput, goodput, status counts). The digests
-// below were captured from the scheduler before its two dispatch loops
-// were merged into one; any change to what the scheduler decides -- an
-// instance choice, a fused member, a retry time, a stats row -- changes a
-// digest. A refactor of the dispatch code must leave every digest alone.
+// aggregates (makespan, throughput, goodput, status counts). Any change
+// to what the scheduler decides -- an instance choice, a fused member, a
+// retry time, a stats row -- changes a digest, so a refactor of the
+// dispatch code must leave every digest alone.
 //
 // On a mismatch the test prints the config's recomputed table line, so a
 // deliberate behaviour change can be re-captured by pasting the printed
