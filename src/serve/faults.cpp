@@ -84,12 +84,23 @@ const std::vector<FaultWindow>& FaultPlan::windows(int instance) const {
   return windows_[static_cast<std::size_t>(instance)];
 }
 
+std::span<const FaultWindow> FaultPlan::windows_after(int instance,
+                                                     double t) const {
+  // end_us is strictly increasing (sorted, non-overlapping, positive
+  // durations), so every window before the first end_us > t lies wholly
+  // at or before t, and no lookup below can use it.
+  const auto& all = windows(instance);
+  const auto first = std::upper_bound(
+      all.begin(), all.end(), t,
+      [](double v, const FaultWindow& window) { return v < window.end_us; });
+  return {first, all.end()};
+}
+
 double FaultPlan::next_up_us(int instance, double t) const {
   // Windows are ordered and non-overlapping, so walking forward once
   // suffices: each outage covering t pushes t to its end.
-  for (const auto& window : windows(instance)) {
+  for (const auto& window : windows_after(instance, t)) {
     if (window.kind != FaultKind::kOutage) continue;
-    if (window.end_us <= t) continue;
     if (window.start_us > t) break;  // t is up before this window opens
     t = window.end_us;
   }
@@ -97,17 +108,18 @@ double FaultPlan::next_up_us(int instance, double t) const {
 }
 
 double FaultPlan::slowdown_at(int instance, double t) const {
-  for (const auto& window : windows(instance)) {
-    if (window.kind != FaultKind::kSlowdown) continue;
-    if (window.start_us <= t && t < window.end_us) return window.slowdown;
-    if (window.start_us > t) break;
+  // Only the first window ending after t can contain t.
+  const auto after = windows_after(instance, t);
+  if (after.empty() || after.front().start_us > t ||
+      after.front().kind != FaultKind::kSlowdown) {
+    return 1.0;
   }
-  return 1.0;
+  return after.front().slowdown;
 }
 
 std::optional<double> FaultPlan::outage_in(int instance, double start,
                                            double finish) const {
-  for (const auto& window : windows(instance)) {
+  for (const auto& window : windows_after(instance, start)) {
     if (window.kind != FaultKind::kOutage) continue;
     if (window.start_us >= finish) break;
     if (window.start_us > start) return window.start_us;
@@ -118,7 +130,7 @@ std::optional<double> FaultPlan::outage_in(int instance, double start,
 double FaultPlan::downtime_in(int instance, double start,
                               double finish) const {
   double down = 0.0;
-  for (const auto& window : windows(instance)) {
+  for (const auto& window : windows_after(instance, start)) {
     if (window.kind != FaultKind::kOutage) continue;
     if (window.start_us >= finish) break;
     down += std::max(0.0, std::min(window.end_us, finish) -

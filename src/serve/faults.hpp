@@ -11,6 +11,12 @@
 // BatchScheduler's stream validation) or drawn from a seeded exponential
 // MTBF/MTTR profile via draw_fault_plan.
 //
+// Lookups: every query binary-searches the instance's windows for the
+// first one ending after the query time and walks on from there, so a
+// query costs O(log W) in the instance's W windows plus the few windows
+// it actually inspects -- dispatch asks several per iteration, and W grows
+// with the stream's horizon.
+//
 // Determinism: every fault draw comes from an RNG stream keyed by
 // (seed, instance id) alone -- never from thread timing, draw order across
 // instances, or pool size -- so instance i's windows are byte-identical
@@ -20,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace nova::serve {
@@ -95,6 +102,11 @@ class FaultPlan {
                                    double finish) const;
 
  private:
+  /// `instance`'s windows from the first one ending after t: every window
+  /// before it ends at or before t, so no query from t onward can use it.
+  [[nodiscard]] std::span<const FaultWindow> windows_after(int instance,
+                                                           double t) const;
+
   std::vector<std::vector<FaultWindow>> windows_;
 };
 

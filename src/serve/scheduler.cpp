@@ -123,9 +123,17 @@ void BatchScheduler::price_requests(
   // chunks of a prefill share its one full-sequence shape -- so a stream
   // of classic single-step requests yields the same distinct set (and the
   // same hybrid reconciliation sample) as the pre-session scheduler.
+  // Each step keeps a pointer to its shape's slot (map nodes are stable),
+  // so the fold below indexes costs without a second map lookup.
   std::map<ShapeKey, std::size_t> shape_slot;
+  std::vector<const std::size_t*> step_slot;
+  std::size_t total_steps = 0;
+  for (const auto& plan : plans) total_steps += plan.steps.size();
+  step_slot.reserve(total_steps);
   for (const auto& plan : plans) {
-    for (const auto& step : plan.steps) shape_slot.emplace(step.shape, 0);
+    for (const auto& step : plan.steps) {
+      step_slot.push_back(&shape_slot.emplace(step.shape, 0).first->second);
+    }
   }
   std::vector<ShapeKey> distinct;
   distinct.reserve(shape_slot.size());
@@ -213,6 +221,7 @@ void BatchScheduler::price_requests(
   const double freq = config_.nova.accel_freq_mhz;
   const bool continuous = config_.continuous;
   step_costs.assign(requests.size(), {});
+  auto slot = step_slot.begin();
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto& plan = plans[i];
     auto& outcome = outcomes[i];
@@ -222,8 +231,9 @@ void BatchScheduler::price_requests(
     double cycles = 0.0;
     std::int64_t ops = 0;
     const ShapeKey* prev = nullptr;
+    const std::size_t front_slot = **slot;
     for (const auto& step : plan.steps) {
-      const ShapeCost& cost = costs[shape_slot.find(step.shape)->second];
+      const ShapeCost& cost = costs[**slot++];
       const double step_cycles = step.share * cost.service_cycles;
       if (continuous) {
         steps.push_back(StepCost{step_cycles, cost.wave_latency_cycles,
@@ -240,9 +250,7 @@ void BatchScheduler::price_requests(
     outcome.service_cycles =
         static_cast<sim::Cycle>(std::llround(cycles));
     outcome.service_us = cycles / freq;
-    outcome.wave_latency_cycles =
-        costs[shape_slot.find(plan.steps.front().shape)->second]
-            .wave_latency_cycles;
+    outcome.wave_latency_cycles = costs[front_slot].wave_latency_cycles;
     outcome.session_steps = plan.total_steps();
     outcome.prefill_chunks = plan.prefill_chunks;
     // Whole-request dispatch serves the plan as ONE unit: the summed
@@ -342,6 +350,7 @@ double BatchScheduler::dispatch(
   // Reused across iterations, so a dispatch allocates nothing for its
   // member list.
   std::vector<Pending> batch;
+  std::uint64_t scan_visits = 0;
 
   // Terminal outcomes (completed, shed, failed) decrement; every live
   // session owns exactly one Pending entry, so live == 0 <=> queues empty.
@@ -416,7 +425,11 @@ double BatchScheduler::dispatch(
     // the first mismatch; continuous mode SKIPS mismatches, since step
     // order inside one instant carries no FIFO meaning at iteration
     // granularity. Not-yet-started sessions fuse in only while slots
-    // remain, and claim theirs on success.
+    // remain, and claim theirs on success; once none remain the scan stops
+    // reading the new-session queue altogether (free_slots only falls, so
+    // no later entry there could be taken, and the pinned merge order does
+    // not depend on it). That keeps a dispatch at O(max_batch) visits
+    // however deep the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
     const SessionStep& head_step = step_of(head.id);
     batch.assign(1, head);
@@ -431,8 +444,10 @@ double BatchScheduler::dispatch(
       while (nit != new_q.end() && nit->id == head.id) ++nit;
       const bool p_ok =
           pit != pinned_q[instance].end() && pit->ready_us <= start;
-      const bool n_ok = nit != new_q.end() && nit->ready_us <= start;
+      const bool n_ok =
+          free_slots > 0 && nit != new_q.end() && nit->ready_us <= start;
       if (!p_ok && !n_ok) break;
+      ++scan_visits;
       const bool take_pinned = p_ok && (!n_ok || *pit < *nit);
       const Pending cand = take_pinned ? *pit : *nit;
       if (take_pinned) {
@@ -447,10 +462,7 @@ double BatchScheduler::dispatch(
         if (!continuous) break;
         continue;
       }
-      if (!take_pinned) {
-        if (free_slots <= 0) continue;
-        free_slots -= 1;
-      }
+      if (!take_pinned) free_slots -= 1;
       batch.push_back(cand);
     }
     const int batch_size = static_cast<int>(batch.size());
@@ -580,6 +592,7 @@ double BatchScheduler::dispatch(
     last_finish = std::max(last_finish, finish);
     ++batch_id;
   }
+  report.dispatch_scan_visits = scan_visits;
   return last_finish;
 }
 

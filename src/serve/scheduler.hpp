@@ -45,11 +45,16 @@
 //      fuse -- they share no wave shape. New sessions are admitted only
 //      while the instance has a free session slot (max_batch concurrent
 //      sessions per instance), which bounds interleaving so neither
-//      admissions nor running sessions starve. Admission control
-//      (deadline/overload shedding) runs once per session, at its first
-//      unit. An outage kills only the unit in flight: the session keeps
-//      its completed units and retries just that one after backoff (the
-//      retry budget, policy.max_retries, is per unit).
+//      admissions nor running sessions starve. The fusion scan stops
+//      reading the new-session queue once the instance's slots are gone,
+//      and the pinned queue holds one step per slot-holding session, so
+//      under backlog a dispatch costs O(max_batch) scan visits however
+//      deep the backlog grows (ServeReport::dispatch_scan_visits counts
+//      them). Admission control (deadline/overload shedding) runs once
+//      per session, at its first unit. An outage kills only the unit in
+//      flight: the session keeps its completed units and retries just
+//      that one after backoff (the retry budget, policy.max_retries, is
+//      per unit).
 //
 //      config.continuous picks the unit. Continuous batching
 //      (Orca/Sarathi-style iteration-level scheduling) dispatches one
@@ -249,6 +254,12 @@ struct ServeReport {
   double goodput_rps = 0.0;
   /// Outcome counts indexed by RequestStatus; sums to outcomes.size().
   std::array<std::uint64_t, kRequestStatusCount> status_counts{};
+  /// Fusion-scan candidates dispatch examined, summed over dispatches: a
+  /// deterministic count of host work, not model output, so it stays out
+  /// of `stats` and out of every printed report. Per dispatch it is the
+  /// instance's pinned steps (at most max_batch) plus the new-session
+  /// entries read while the instance still has a free slot.
+  std::uint64_t dispatch_scan_visits = 0;
 
   [[nodiscard]] std::uint64_t status_count(RequestStatus status) const {
     return status_counts[static_cast<std::size_t>(status)];

@@ -338,6 +338,40 @@ TEST(ContinuousScheduler, WholeModeServesAGenerationAsOneUnit) {
             std::string::npos);
 }
 
+TEST(ContinuousScheduler, DispatchScanWorkStaysFlatAsTheBacklogGrows) {
+  // Offered well past what the pool serves, the not-yet-started backlog
+  // grows with the stream. The fusion scan stops reading it once the
+  // instance's session slots are gone, so the candidates examined per
+  // dispatch stay bounded by the slot cap instead of tracking the backlog:
+  // doubling the stream must not move the per-dispatch cost.
+  const auto scan_per_dispatch = [](int count) {
+    TrafficProfile profile;
+    profile.rate_rps = 40000.0;
+    profile.max_steps = 16;
+    const auto requests = generate_poisson(count, profile, 5);
+    auto config = small_pool(4, 2);
+    config.continuous = true;
+    config.pricing = PricingMode::kSurrogate;
+    FaultProfile faults;
+    faults.mtbf_us = 20000.0;
+    faults.mttr_us = 2000.0;
+    config.faults = draw_fault_plan(faults, config.instances,
+                                    2.0 * requests.back().arrival_us, 5);
+    const auto report = BatchScheduler(config).run(requests);
+    std::uint64_t dispatches = report.stats.counter("serve.batches");
+    for (const auto& inst : report.instances) {
+      dispatches += static_cast<std::uint64_t>(inst.failed_batches);
+    }
+    EXPECT_GT(report.stats.counter("serve.preempted_steps"), 0u);
+    return static_cast<double>(report.dispatch_scan_visits) /
+           static_cast<double>(dispatches);
+  };
+  const double at_n = scan_per_dispatch(1500);
+  const double at_2n = scan_per_dispatch(3000);
+  EXPECT_LE(at_2n, 1.1 * at_n) << "n: " << at_n << ", 2n: " << at_2n;
+  EXPECT_LE(at_2n, 2.0 * small_pool(1, 1).max_batch) << "2n: " << at_2n;
+}
+
 TEST(ContinuousSchedulerDeathTest, RejectsNegativeGenSteps) {
   std::vector<InferenceRequest> requests(1);
   requests[0].id = 0;

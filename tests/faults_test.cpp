@@ -4,8 +4,13 @@
 // shedding, determinism under faults) lives in serve_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "serve/faults.hpp"
 #include "serve/policy.hpp"
 
@@ -26,6 +31,68 @@ FaultWindow slow(double start, double end, double factor) {
   window.end_us = end;
   window.slowdown = factor;
   return window;
+}
+
+// Linear reference walks over every window from index 0: the lookups the
+// plan answers by binary search must agree with them exactly.
+double ref_next_up(const std::vector<FaultWindow>& windows, double t) {
+  for (const auto& window : windows) {
+    if (window.kind != FaultKind::kOutage) continue;
+    if (window.end_us <= t) continue;
+    if (window.start_us > t) break;
+    t = window.end_us;
+  }
+  return t;
+}
+
+double ref_slowdown(const std::vector<FaultWindow>& windows, double t) {
+  for (const auto& window : windows) {
+    if (window.kind != FaultKind::kSlowdown) continue;
+    if (window.start_us <= t && t < window.end_us) return window.slowdown;
+    if (window.start_us > t) break;
+  }
+  return 1.0;
+}
+
+std::optional<double> ref_outage_in(const std::vector<FaultWindow>& windows,
+                                    double start, double finish) {
+  for (const auto& window : windows) {
+    if (window.kind != FaultKind::kOutage) continue;
+    if (window.start_us >= finish) break;
+    if (window.start_us > start) return window.start_us;
+  }
+  return std::nullopt;
+}
+
+double ref_downtime(const std::vector<FaultWindow>& windows, double start,
+                    double finish) {
+  double down = 0.0;
+  for (const auto& window : windows) {
+    if (window.kind != FaultKind::kOutage) continue;
+    if (window.start_us >= finish) break;
+    down += std::max(0.0, std::min(window.end_us, finish) -
+                              std::max(window.start_us, start));
+  }
+  return down;
+}
+
+/// A seeded timeline mixing outages and slowdowns, with back-to-back
+/// windows (zero gaps) as well as short and long gaps between them.
+std::vector<FaultWindow> random_windows(Rng& rng, int count) {
+  std::vector<FaultWindow> windows;
+  double t = rng.next_double() * 5.0;
+  for (int w = 0; w < count; ++w) {
+    const double draw = rng.next_double();
+    const double gap = draw < 0.3 ? 0.0 : draw < 0.7 ? rng.next_double()
+                                                     : 50.0 * draw;
+    const double start = t + gap;
+    const double end = start + 0.01 + 20.0 * rng.next_double();
+    windows.push_back(rng.next_double() < 0.5
+                          ? outage(start, end)
+                          : slow(start, end, 1.0 + 3.0 * rng.next_double()));
+    t = end;
+  }
+  return windows;
 }
 
 TEST(FaultPlan, DefaultPlanIsEmptyAndAlwaysUp) {
@@ -144,6 +211,46 @@ TEST(FaultPlan, DrawsSlowdownsAtTheConfiguredFraction) {
       static_cast<double>(slowdowns) / (outages + slowdowns);
   EXPECT_GT(fraction, 0.4);
   EXPECT_LT(fraction, 0.6);
+}
+
+TEST(FaultPlan, LookupsMatchALinearWalkOnRandomPlans) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int count = 1 + static_cast<int>(rng.next_below(60));
+    const auto windows = random_windows(rng, count);
+    const auto plan = FaultPlan::make({windows});
+    // Probe at, just before and just after every window edge, and past
+    // the last window.
+    std::vector<double> probes = {0.0, windows.back().end_us + 1.0, 1e12};
+    for (const auto& window : windows) {
+      for (const double edge : {window.start_us, window.end_us}) {
+        probes.push_back(edge);
+        probes.push_back(std::nextafter(edge, -kInf));
+        probes.push_back(std::nextafter(edge, kInf));
+      }
+    }
+    std::sort(probes.begin(), probes.end());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const double t = probes[i];
+      ASSERT_EQ(plan.next_up_us(0, t), ref_next_up(windows, t))
+          << "trial " << trial << " t " << t;
+      ASSERT_EQ(plan.slowdown_at(0, t), ref_slowdown(windows, t))
+          << "trial " << trial << " t " << t;
+      // Intervals from t to each of the next few probes (empty ones
+      // included) and to far past the plan.
+      for (std::size_t j = i; j < std::min(probes.size(), i + 8); ++j) {
+        for (const double finish : {probes[j], 1e12}) {
+          ASSERT_EQ(plan.outage_in(0, t, finish),
+                    ref_outage_in(windows, t, finish))
+              << "trial " << trial << " (" << t << ", " << finish << ")";
+          ASSERT_EQ(plan.downtime_in(0, t, finish),
+                    ref_downtime(windows, t, finish))
+              << "trial " << trial << " [" << t << ", " << finish << "]";
+        }
+      }
+    }
+  }
 }
 
 TEST(FaultKindNames, RoundTrip) {
