@@ -7,7 +7,6 @@
 // containing x (what the comparator bank at each PE computes).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -52,12 +51,14 @@ class PwlTable {
   /// Quantized-domain lookup: the address of a link word, bit-identical to
   /// lookup_address(x.to_double()) but comparing the raw integer against
   /// boundaries pre-scaled at construction -- no per-element fixed-point ->
-  /// double round trip on the wave-issue hot path.
+  /// double round trip. Counts the boundaries <= x, as the comparator bank
+  /// does, instead of a binary search whose branches mispredict on random
+  /// inputs.
   [[nodiscard]] int lookup_address(Word16 x) const {
-    const auto it = std::upper_bound(quant_boundaries_.begin(),
-                                     quant_boundaries_.end(),
-                                     static_cast<std::int32_t>(x.raw()));
-    return static_cast<int>(it - quant_boundaries_.begin());
+    const std::int32_t raw = x.raw();
+    int address = 0;
+    for (const std::int32_t b : quant_boundaries_) address += b <= raw ? 1 : 0;
+    return address;
   }
 
   /// Approximated evaluation in double precision.
@@ -82,6 +83,11 @@ class PwlTable {
     return boundaries_;
   }
   [[nodiscard]] const std::vector<double>& slopes() const { return slopes_; }
+  /// boundaries() on the Word16 raw grid: boundary i is <= word x exactly
+  /// when quant_boundaries()[i] <= x.raw(). Sorted.
+  [[nodiscard]] const std::vector<std::int32_t>& quant_boundaries() const {
+    return quant_boundaries_;
+  }
   [[nodiscard]] const std::vector<double>& biases() const { return biases_; }
 
   /// The quantized (slope, bias) pair for segment `i`, as carried on the

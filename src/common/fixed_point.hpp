@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <compare>
 #include <cstdint>
@@ -46,11 +47,21 @@ class Fixed {
 
   constexpr Fixed() = default;
 
-  /// Quantizes a real value (round-to-nearest, saturate on overflow).
+  /// Quantizes a real value (round half away from zero, saturate on
+  /// overflow).
   static constexpr Fixed from_double(double v) {
     const double scaled = v * static_cast<double>(1LL << FracBits);
-    const double rounded = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
-    return Fixed(saturate(static_cast<std::int64_t>(rounded)));
+    // 0.5 carrying scaled's sign bit: a constexpr copysign, so rounding
+    // takes no branch on the sign (random-signed inputs mispredict one).
+    const double half = std::bit_cast<double>(
+        std::bit_cast<std::uint64_t>(0.5) |
+        (std::bit_cast<std::uint64_t>(scaled) & (std::uint64_t{1} << 63)));
+    // Saturating before the truncation gives the same word as truncating
+    // and then saturating, and keeps the conversion in range.
+    const double rounded =
+        std::clamp(scaled + half, static_cast<double>(raw_min()),
+                   static_cast<double>(raw_max()));
+    return Fixed(static_cast<storage_type>(rounded));
   }
 
   /// Reinterprets a raw two's-complement bit pattern (must be in range).
@@ -101,9 +112,14 @@ class Fixed {
     const std::int64_t bias = static_cast<std::int64_t>(b.raw_) << FracBits;
     const std::int64_t sum = prod + bias;
     const std::int64_t half = FracBits > 0 ? (1LL << (FracBits - 1)) : 0;
-    const std::int64_t shifted =
-        sum >= 0 ? (sum + half) >> FracBits : -((-sum + half) >> FracBits);
-    return Fixed(saturate(shifted));
+    // Round half away from zero on |sum|, with the sign as a mask (all ones
+    // when negative): (v ^ sign) - sign negates v exactly when the mask is
+    // set, so there is no branch on the sign. The negation cannot overflow:
+    // for Q6.10 operands |a*x| <= 2^30 and |b << 10| <= 2^25, so
+    // |sum| < 2^31.
+    const std::int64_t sign = sum >> 63;
+    const std::int64_t magnitude = (((sum ^ sign) - sign) + half) >> FracBits;
+    return Fixed(saturate((magnitude ^ sign) - sign));
   }
 
   constexpr auto operator<=>(const Fixed&) const = default;

@@ -1,6 +1,9 @@
 #include "core/sim_session.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "common/fixed_point.hpp"
@@ -8,6 +11,40 @@
 namespace nova::core {
 
 namespace {
+
+// The Word16 raw range, as the comparator pass's 16-bit lanes hold it.
+constexpr std::int32_t kRawMin = std::numeric_limits<std::int16_t>::min();
+constexpr std::int32_t kRawMax = std::numeric_limits<std::int16_t>::max();
+static_assert(std::is_same_v<Word16::storage_type, std::int16_t>);
+
+/// The comparator bank over one router's slice of a wave, in 16-bit
+/// lanes: address[i] becomes the count of boundaries <= x[i], and
+/// pending[t] gains the number of entries whose address has tag t
+/// (address mod m). Boundaries run in the outer loop so the compares
+/// vectorize across neurons. Summing the same compares per boundary counts
+/// the entries at or past it, and the drop from one boundary's count to
+/// the next is the number of entries at that address. A boundary above
+/// every word matches none; one below every word matches all.
+void comparator_bank(const std::vector<std::int32_t>& bounds,
+                     const Word16* x, std::size_t take, std::size_t m,
+                     std::int16_t* address, int* pending) {
+  std::fill_n(address, take, std::int16_t{0});
+  int at_or_past = static_cast<int>(take);
+  for (std::size_t k = 0; k < bounds.size(); ++k) {
+    std::int16_t past = 0;
+    if (bounds[k] <= kRawMax) {
+      const auto b = static_cast<std::int16_t>(std::max(bounds[k], kRawMin));
+      for (std::size_t i = 0; i < take; ++i) {
+        const std::int16_t hit = b <= x[i].raw() ? 1 : 0;
+        address[i] += hit;
+        past += hit;
+      }
+    }
+    pending[k % m] += at_or_past - past;
+    at_or_past = past;
+  }
+  pending[bounds.size() % m] += at_or_past;
+}
 
 int derive_hops_per_noc_cycle(const NovaConfig& config) {
   // Physical SMART bypass depth, judged at the accelerator (lookup) clock:
@@ -25,10 +62,12 @@ int derive_hops_per_noc_cycle(const NovaConfig& config) {
 
 }  // namespace
 
-bool SimSession::Wave::complete() const {
-  return std::all_of(routers.begin(), routers.end(),
-                     [](const RouterWave& r) { return r.complete(); });
-}
+SimSession::Wave::Wave(std::size_t routers, std::size_t neurons_per_router,
+                       std::size_t tags)
+    : inputs(routers * neurons_per_router),
+      addresses(routers * neurons_per_router),
+      taken(routers, 0),
+      pending(routers * tags, 0) {}
 
 SimSession::SimSession(const NovaConfig& config,
                        const approx::PwlTable& table,
@@ -46,8 +85,23 @@ SimSession::SimSession(const NovaConfig& config,
       id_waves_(result_.stats.counter_id("unit.waves")),
       line_(noc::LineNocConfig{config.routers, hops_per_noc_cycle_},
             &result_.stats),
-      cursor_(inputs.size(), 0) {
+      cursor_(inputs.size(), 0),
+      lookup_wave_(inputs.size(),
+                   static_cast<std::size_t>(config.neurons_per_router),
+                   static_cast<std::size_t>(schedule_.noc_clock_multiplier)),
+      mac_wave_(lookup_wave_) {
   NOVA_EXPECTS(static_cast<int>(inputs.size()) == config_.routers);
+  // The comparator pass counts addresses and per-router hits in 16-bit
+  // lanes.
+  NOVA_EXPECTS(config_.neurons_per_router <= kRawMax);
+  NOVA_EXPECTS(table.breakpoints() <= kRawMax + 1);
+
+  pairs_.reserve(static_cast<std::size_t>(table.breakpoints()));
+  for (int a = 0; a < table.breakpoints(); ++a) {
+    pairs_.push_back(schedule_.flits[static_cast<std::size_t>(
+                                         schedule_.tag_of(a))]
+                         .pair(schedule_.slot_of(a)));
+  }
 
   result_.outputs.resize(inputs_.size());
   for (std::size_t r = 0; r < inputs_.size(); ++r) {
@@ -72,112 +126,97 @@ bool SimSession::all_inputs_consumed() const {
 }
 
 bool SimSession::pipeline_idle() const {
-  return !lookup_wave_.has_value() && !mac_wave_.has_value() &&
-         all_inputs_consumed();
+  return !lookup_wave_.active && !mac_wave_.active && all_inputs_consumed();
 }
 
 bool SimSession::drained() const { return pipeline_idle() && line_.idle(); }
 
 void SimSession::on_observation(int router, const noc::Flit& flit,
                                 sim::Cycle /*noc_now*/) {
-  if (!lookup_wave_.has_value()) return;
-  auto& rw = lookup_wave_->routers[static_cast<std::size_t>(router)];
-  const auto tag = static_cast<std::size_t>(flit.tag());
-  // One bucket per tag, consumed whole on the tag's first observation:
-  // every entry in it selects its pair from this flit. (Flit trains repeat
-  // identical pairs each wave, so a leftover in-flight flit from the
-  // previous train delivers the same data the current train would.)
-  if (!rw.tag_pending[tag]) return;
-  rw.tag_pending[tag] = false;
-  const int begin = rw.tag_begin[tag];
-  const int end = rw.tag_begin[tag + 1];
-  for (int k = begin; k < end; ++k) {
-    const auto i = static_cast<std::size_t>(rw.plan_entries[k]);
-    rw.captured[i] = flit.pair(rw.slots[i]);
+  if (!lookup_wave_.active) return;
+  const int m = schedule_.noc_clock_multiplier;
+#ifndef NDEBUG
+  // The MAC reads pairs_, not the flit: check that they agree on every
+  // address this flit carries.
+  for (int slot = 0; slot < flit.pair_count(); ++slot) {
+    const int address = slot * m + flit.tag();
+    if (address >= table_.breakpoints()) break;
+    const auto& want = pairs_[static_cast<std::size_t>(address)];
+    NOVA_ASSERT(flit.pair(slot).slope == want.slope &&
+                flit.pair(slot).bias == want.bias);
   }
-  rw.captured_count += end - begin;
+#endif
+  // A tag's entries are credited whole on its first observation: every one
+  // selects its pair from this flit, and later observations find zero left.
+  // (Flit trains repeat identical pairs each wave, so a leftover in-flight
+  // flit from the previous train delivers the same data the current train
+  // would.)
+  int& pending =
+      lookup_wave_.pending[static_cast<std::size_t>(router * m + flit.tag())];
+  lookup_wave_.outstanding -= static_cast<std::size_t>(pending);
+  pending = 0;
 }
 
 // Accelerator-clock phase: MAC drain, capture->MAC move, wave issue.
 void SimSession::accel_tick(sim::Cycle now) {
+  const auto npr = static_cast<std::size_t>(config_.neurons_per_router);
   // (a) A wave whose pairs are all captured enters the MAC stage.
-  if (!mac_wave_.has_value() && lookup_wave_.has_value() &&
-      lookup_wave_->complete()) {
-    mac_wave_ = std::move(lookup_wave_);
-    lookup_wave_.reset();
+  if (!mac_wave_.active && lookup_wave_.active &&
+      lookup_wave_.outstanding == 0) {
+    std::swap(lookup_wave_, mac_wave_);
   }
   // (b) The MAC stage executes: y = slope * x + bias per neuron.
-  if (mac_wave_.has_value()) {
+  if (mac_wave_.active) {
     std::uint64_t macs = 0;
-    for (std::size_t r = 0; r < mac_wave_->routers.size(); ++r) {
-      auto& rw = mac_wave_->routers[r];
+    for (std::size_t r = 0; r < inputs_.size(); ++r) {
+      const std::size_t take = mac_wave_.taken[r];
+      const Word16* x = mac_wave_.inputs.data() + r * npr;
+      const std::int16_t* address = mac_wave_.addresses.data() + r * npr;
       auto& out = result_.outputs[r];
-      for (std::size_t i = 0; i < rw.inputs.size(); ++i) {
-        const Word16 y = Word16::mac(rw.captured[i].slope, rw.inputs[i],
-                                     rw.captured[i].bias);
-        out.push_back(y.to_double());
+      const std::size_t done = out.size();
+      out.resize(done + take);
+      double* y = out.data() + done;
+      for (std::size_t i = 0; i < take; ++i) {
+        const auto& pair = pairs_[static_cast<std::size_t>(address[i])];
+        y[i] = Word16::mac(pair.slope, x[i], pair.bias).to_double();
       }
-      macs += rw.inputs.size();
+      macs += take;
     }
     // The wave's pairs were all captured by the time it entered this stage;
     // flush both per-wave aggregates with one bump each.
     result_.stats.bump(id_mac_ops_, macs);
     result_.stats.bump(id_pair_captures_, macs);
     result_.wave_latency_cycles =
-        static_cast<int>(now - mac_wave_->issued_at) + 1;
+        static_cast<int>(now - mac_wave_.issued_at) + 1;
     last_mac_cycle_ = now;
     any_mac_done_ = true;
-    mac_wave_.reset();
+    mac_wave_.active = false;
   }
   // (c) Issue the next wave: comparators fire and the mapper launches the
   // flit train (one flit per NoC cycle).
-  if (!lookup_wave_.has_value() && !all_inputs_consumed()) {
+  if (!lookup_wave_.active && !all_inputs_consumed()) {
     const auto m = static_cast<std::size_t>(schedule_.noc_clock_multiplier);
-    Wave wave;
+    const auto& bounds = table_.quant_boundaries();
+    Wave& wave = lookup_wave_;
+    wave.active = true;
     wave.issued_at = now;
-    wave.routers.resize(inputs_.size());
+    wave.outstanding = 0;
+    std::fill(wave.pending.begin(), wave.pending.end(), 0);
     std::uint64_t comparator_ops = 0;
     for (std::size_t r = 0; r < inputs_.size(); ++r) {
-      auto& rw = wave.routers[r];
-      const std::size_t take =
-          std::min(inputs_[r].size() - cursor_[r],
-                   static_cast<std::size_t>(config_.neurons_per_router));
-      rw.inputs.reserve(take);
-      rw.slots.reserve(take);
-      if (tag_scratch_.size() < take) tag_scratch_.resize(take);
-      tag_fill_.assign(m + 1, 0);
+      const std::size_t take = std::min(inputs_[r].size() - cursor_[r], npr);
+      const double* in = inputs_[r].data() + cursor_[r];
+      Word16* x = wave.inputs.data() + r * npr;
       for (std::size_t i = 0; i < take; ++i) {
-        const double x = inputs_[r][cursor_[r] + i];
-        const Word16 xq = Word16::from_double(x);
-        const int addr = table_.lookup_address(xq);
-        rw.inputs.push_back(xq);
-        rw.slots.push_back(schedule_.slot_of(addr));
-        const int tag = schedule_.tag_of(addr);
-        tag_scratch_[i] = tag;
-        ++tag_fill_[static_cast<std::size_t>(tag) + 1];
+        x[i] = Word16::from_double(in[i]);
       }
+      comparator_bank(bounds, x, take, m, wave.addresses.data() + r * npr,
+                      wave.pending.data() + r * m);
+      wave.taken[r] = take;
+      wave.outstanding += take;
       cursor_[r] += take;
       comparator_ops += take;
-      // Counting sort of the entries by tag: tag_begin offsets, then a fill
-      // pass placing each entry in its bucket.
-      rw.tag_begin.assign(m + 1, 0);
-      for (std::size_t t = 0; t < m; ++t) {
-        rw.tag_begin[t + 1] = rw.tag_begin[t] + tag_fill_[t + 1];
-      }
-      std::copy(rw.tag_begin.begin(), rw.tag_begin.end(), tag_fill_.begin());
-      rw.plan_entries.resize(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        const auto t = static_cast<std::size_t>(tag_scratch_[i]);
-        rw.plan_entries[static_cast<std::size_t>(tag_fill_[t]++)] =
-            static_cast<int>(i);
-      }
-      rw.tag_pending.assign(m, false);
-      for (std::size_t t = 0; t < m; ++t) {
-        rw.tag_pending[t] = rw.tag_begin[t + 1] > rw.tag_begin[t];
-      }
-      rw.captured.resize(take);
     }
-    lookup_wave_ = std::move(wave);
     for (const auto& flit : schedule_.flits) line_.inject(flit);
     result_.stats.bump(id_comparator_ops_, comparator_ops);
     result_.stats.bump(id_waves_);

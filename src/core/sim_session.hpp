@@ -15,15 +15,27 @@
 // the serving layer's per-request cost):
 //   * The session attaches to the LineNoc as a noc::CaptureSink -- one
 //     virtual call per router observation, no std::function hop.
-//   * Each wave is issued with a tag-indexed capture plan: entries are
-//     bucketed by flit tag (counting sort) at issue time, so an observation
-//     captures exactly its matching entries instead of scanning every
-//     pending address on every flit.
+//   * Wave issue runs in passes over each router's slice of the wave:
+//     quantize every input, then the comparator bank -- boundaries in the
+//     outer loop, neurons in the inner one, so the compiler vectorizes the
+//     compares across neurons in 16-bit lanes. The same compares, summed
+//     per boundary, give each tag's entry count. No pass branches on an
+//     input's value.
+//   * Capture is one count per (router, tag): the first observation of a
+//     tag credits all of that tag's entries at once, and a wave is complete
+//     when no entry is left uncredited.
+//   * The MAC reads each entry's (slope, bias) from a per-address table
+//     built once per session from the broadcast schedule -- the only pairs
+//     the line ever carries (debug builds check each observed flit against
+//     it).
+//   * The two pipeline stages are two Wave buffers allocated at
+//     construction and swapped, so a run allocates nothing per wave.
 //   * Statistic counters are interned once (sim::StatId) and bumped as
 //     per-wave aggregates, not once per element event.
 #pragma once
 
-#include <optional>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/vector_unit.hpp"
@@ -48,33 +60,22 @@ class SimSession final : private noc::CaptureSink {
   [[nodiscard]] ApproxResult run();
 
  private:
-  /// Per-router slice of an in-flight wave, with its tag-indexed capture
-  /// plan: plan_entries holds the entry indices grouped by flit tag
-  /// (tag_begin[t] .. tag_begin[t+1]), so the observation for tag t touches
-  /// exactly its own entries.
-  struct RouterWave {
-    std::vector<Word16> inputs;
-    /// Flit slot (lookup address div multiplier) per entry.
-    std::vector<int> slots;
-    std::vector<noc::SlopeBiasPair> captured;
-    /// Entry indices grouped by tag; offsets in tag_begin (size m + 1).
-    std::vector<int> plan_entries;
-    std::vector<int> tag_begin;
-    /// Tag buckets not yet consumed; a bucket is captured whole on the
-    /// first observation of its tag and empty buckets start consumed.
-    std::vector<bool> tag_pending;
-    int captured_count = 0;
-
-    [[nodiscard]] bool complete() const {
-      return captured_count == static_cast<int>(inputs.size());
-    }
-  };
-
+  /// One in-flight wave. Router r's entries occupy
+  /// [r * neurons_per_router, r * neurons_per_router + taken[r]) of the
+  /// per-entry buffers, which are sized once at construction.
   struct Wave {
-    std::vector<RouterWave> routers;
-    sim::Cycle issued_at = 0;
+    Wave(std::size_t routers, std::size_t neurons_per_router,
+         std::size_t tags);
 
-    [[nodiscard]] bool complete() const;
+    std::vector<Word16> inputs;           ///< quantized input words
+    std::vector<std::int16_t> addresses;  ///< comparator-bank outputs
+    std::vector<std::size_t> taken;       ///< entries per router
+    /// Entries of (router r, tag t) at r * tags + t not yet credited.
+    std::vector<int> pending;
+    /// Entries not yet credited, over all routers.
+    std::size_t outstanding = 0;
+    sim::Cycle issued_at = 0;
+    bool active = false;
   };
 
   /// noc::CaptureSink: router `router` sees `flit` on the line.
@@ -104,11 +105,10 @@ class SimSession final : private noc::CaptureSink {
   noc::LineNoc line_;
 
   std::vector<std::size_t> cursor_;
-  /// Scratch for the per-wave counting sort (entry tags, bucket counts).
-  std::vector<int> tag_scratch_;
-  std::vector<int> tag_fill_;
-  std::optional<Wave> lookup_wave_;
-  std::optional<Wave> mac_wave_;
+  /// The pair each lookup address selects, as the line carries it.
+  std::vector<noc::SlopeBiasPair> pairs_;
+  Wave lookup_wave_;
+  Wave mac_wave_;
   sim::Cycle last_mac_cycle_ = 0;
   bool any_mac_done_ = false;
   bool ran_ = false;

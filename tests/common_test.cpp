@@ -67,6 +67,14 @@ std::int64_t reference_mac(std::int64_t a, std::int64_t x, std::int64_t b) {
   return std::clamp<std::int64_t>(shifted, -32768, 32767);
 }
 
+// Both primitives stay usable in constant expressions, where negative
+// ties round away from zero too.
+static_assert(Word16::from_double(-1.5 / 1024.0).raw() == -2);
+static_assert(Word16::from_double(1e9).raw() == 32767);
+static_assert(Word16::mac(Word16::from_raw(-1), Word16::from_raw(512),
+                          Word16::from_raw(0))
+                  .raw() == -1);
+
 TEST(FixedPoint, FromDoubleMatchesReference) {
   std::vector<double> inputs = {0.0, -0.0, 1e9, -1e9};
   // Every rounding tie across the Word16 range plus a margin past both
