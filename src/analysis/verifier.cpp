@@ -1,6 +1,8 @@
 #include "analysis/verifier.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdio>
 #include <string>
 
@@ -273,15 +275,40 @@ struct ExpectedNode {
   std::int64_t elements = 0;                     // gelu
 };
 
-std::vector<ExpectedNode> expected_chain(const workload::BertConfig& config,
-                                         std::int64_t q, std::int64_t a) {
+/// The canonical chain, in a fixed-capacity buffer: at most the ten encoder
+/// ops plus the two bottleneck GEMMs. Derived once per run_passes and read
+/// by both the shape and the conservation pass.
+class ExpectedChain {
+ public:
+  static constexpr std::size_t kCapacity = 12;
+
+  void push_back(const ExpectedNode& node) {
+    NOVA_ASSERT(size_ < kCapacity);
+    nodes_[size_++] = node;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const ExpectedNode& operator[](std::size_t i) const {
+    return nodes_[i];
+  }
+  [[nodiscard]] const ExpectedNode* begin() const { return nodes_.data(); }
+  [[nodiscard]] const ExpectedNode* end() const {
+    return nodes_.data() + size_;
+  }
+
+ private:
+  std::array<ExpectedNode, kCapacity> nodes_{};
+  std::size_t size_ = 0;
+};
+
+ExpectedChain expected_chain(const workload::BertConfig& config,
+                             std::int64_t q, std::int64_t a) {
   const std::int64_t h = config.hidden;
   const std::int64_t heads = config.heads;
   const std::int64_t head_dim = h / heads;
   const std::int64_t ffn = config.ffn;
   const std::int64_t stacks = config.ffn_stacks;
 
-  std::vector<ExpectedNode> chain;
+  ExpectedChain chain;
   const auto gemm = [&chain](const char* label, std::int64_t m,
                              std::int64_t k, std::int64_t n,
                              std::int64_t repeat) {
@@ -363,15 +390,10 @@ bool check_config(const OpGraph& graph, DiagnosticReport& report) {
   return true;
 }
 
-void shape_pass(const OpGraph& graph, DiagnosticReport& report) {
-  if (graph.origin != GraphOrigin::kConfigExpansion) return;
-  if (!check_config(graph, report)) return;
-
-  const std::int64_t q =
-      graph.phase == Phase::kPrefill ? graph.config.seq_len : 1;
-  const std::int64_t a =
-      graph.phase == Phase::kPrefill ? graph.config.seq_len : graph.kv_len;
-
+/// Shape dataflow against the canonical chain. Runs only on config
+/// expansions whose config passed check_config.
+void shape_pass(const OpGraph& graph, const ExpectedChain& expected,
+                DiagnosticReport& report) {
   if (graph.layer_repeat != graph.config.layers) {
     report.add(Severity::kError, CheckId::kShapeChain,
                "layer_repeat " + i64(graph.layer_repeat) +
@@ -383,7 +405,6 @@ void shape_pass(const OpGraph& graph, DiagnosticReport& report) {
   // GEMM + softmax + context GEMM; epilogues: GEMM + vector op). The walk
   // is a cursor over the expected chain, so fused and unfused graphs are
   // both pinned to the same independently derived ground truth.
-  const auto expected = expected_chain(graph.config, q, a);
   const auto consumed = [](OpKind kind) -> std::size_t {
     switch (kind) {
       case OpKind::kFusedAttention: return 3;
@@ -540,13 +561,11 @@ void shape_pass(const OpGraph& graph, DiagnosticReport& report) {
 // rewrites (fusion) keep passing while any lost/inflated volume is caught.
 // ---------------------------------------------------------------------------
 
-void conservation_pass(const OpGraph& graph, DiagnosticReport& report) {
-  if (graph.origin != GraphOrigin::kConfigExpansion) return;
-  // Reuse the config gate, but without re-reporting shape.config: an
-  // incoherent config cannot drive the closed forms either.
-  DiagnosticReport scratch;
-  if (!check_config(graph, scratch)) return;
-
+/// Volume conservation against the canonical chain. Runs only on config
+/// expansions whose config passed check_config: an incoherent config cannot
+/// drive the closed forms either.
+void conservation_pass(const OpGraph& graph, const ExpectedChain& expected,
+                       DiagnosticReport& report) {
   const auto& config = graph.config;
   const std::int64_t layers = config.layers;
   const std::int64_t q = graph.phase == Phase::kPrefill ? config.seq_len : 1;
@@ -560,7 +579,7 @@ void conservation_pass(const OpGraph& graph, DiagnosticReport& report) {
   const std::int64_t want_gelu = layers * stacks * q * config.ffn;
   const std::int64_t want_layernorm = layers * 2 * q;
   std::int64_t want_macs = 0;
-  for (const auto& node : expected_chain(config, q, a)) {
+  for (const auto& node : expected) {
     if (node.kind == OpKind::kGemm) {
       want_macs += node.m * node.k * node.n * node.repeat;
     }
@@ -652,8 +671,18 @@ DiagnosticReport run_structural_passes(const pipeline::OpGraph& graph) {
 
 DiagnosticReport run_passes(const pipeline::OpGraph& graph) {
   DiagnosticReport report = run_structural_passes(graph);
-  shape_pass(graph, report);
-  conservation_pass(graph, report);
+  // Only config expansions carry the ground truth the shape and
+  // conservation passes re-derive; an incoherent config is shape.config's
+  // finding and leaves nothing to derive from.
+  if (graph.origin != GraphOrigin::kConfigExpansion) return report;
+  if (!check_config(graph, report)) return report;
+  const std::int64_t q =
+      graph.phase == Phase::kPrefill ? graph.config.seq_len : 1;
+  const std::int64_t a =
+      graph.phase == Phase::kPrefill ? graph.config.seq_len : graph.kv_len;
+  const ExpectedChain expected = expected_chain(graph.config, q, a);
+  shape_pass(graph, expected, report);
+  conservation_pass(graph, expected, report);
   return report;
 }
 

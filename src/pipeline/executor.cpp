@@ -5,6 +5,7 @@
 
 #include "analysis/verifier.hpp"
 #include "common/assert.hpp"
+#include "hwmodel/calibration.hpp"
 #include "hwmodel/components.hpp"
 
 namespace nova::pipeline {
@@ -38,7 +39,11 @@ sim::Cycle cycles_to_stream(std::int64_t elements, double rate) {
 
 PipelineExecutor::PipelineExecutor(const accel::AcceleratorModel& accel,
                                    const ExecutorConfig& config)
-    : accel_(accel), config_(config) {
+    : accel_(accel),
+      config_(config),
+      energy_per_approx_pj_(
+          hw::calibrated_cost(hw::tech22(), accel.kind, config.choice.kind)
+              .energy_per_approx_pj) {
   NOVA_EXPECTS(accel.matrix_units >= 1);
   NOVA_EXPECTS(accel.freq_mhz > 0.0);
   if (config_.vector_elems_per_cycle > 0.0) {
@@ -65,8 +70,6 @@ PipelineTimeline PipelineExecutor::execute(const OpGraph& graph) const {
   timeline.layers = graph.layer_repeat;
   timeline.entries.resize(graph.nodes.size());
 
-  const auto cost =
-      hw::calibrated_cost(hw::tech22(), accel_.kind, config_.choice.kind);
   const std::int64_t layers = graph.layer_repeat;
   const std::int64_t units = accel_.matrix_units;
 
@@ -145,7 +148,7 @@ PipelineTimeline PipelineExecutor::execute(const OpGraph& graph) const {
       timeline.approx_ops += static_cast<std::uint64_t>(ops);
       entry.energy_mj = fabric_energy_mj(fabric) +
                         static_cast<double>(ops) *
-                            cost.energy_per_approx_pj * 1.0e-9;
+                            energy_per_approx_pj_ * 1.0e-9;
     } else {
       entry.resource = Resource::kVector;
       const std::int64_t ops = node.approx_ops_per_layer() * layers;
@@ -163,7 +166,7 @@ PipelineTimeline PipelineExecutor::execute(const OpGraph& graph) const {
       timeline.vector_cycles += entry.cycles;
       timeline.approx_ops += static_cast<std::uint64_t>(ops);
       entry.energy_mj = static_cast<double>(ops) *
-                        cost.energy_per_approx_pj * 1.0e-9;
+                        energy_per_approx_pj_ * 1.0e-9;
     }
   }
   timeline.serial_cycles = timeline.fabric_cycles + timeline.vector_cycles;

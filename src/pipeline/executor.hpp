@@ -134,6 +134,9 @@ class PipelineExecutor {
   /// Resolved elements/cycle; integer-valued when defaulted from the paper
   /// config, so reconciliation-mode ceil math stays in exact integers.
   double vector_rate_ = 1.0;
+  /// Calibrated approximator energy per element op (hw::calibrated_cost of
+  /// this host and unit kind), resolved once rather than per execute().
+  double energy_per_approx_pj_ = 0.0;
 };
 
 /// One workload evaluated both ways, with the legacy-equivalent flat

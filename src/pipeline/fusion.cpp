@@ -1,5 +1,9 @@
 #include "pipeline/fusion.hpp"
 
+#include <array>
+#include <bit>
+#include <cstddef>
+#include <initializer_list>
 #include <utility>
 
 #include "analysis/verifier.hpp"
@@ -38,18 +42,6 @@ std::optional<FusionMode> fusion_mode_from_string(const std::string& name) {
 
 namespace {
 
-/// consumers[i] = indices of nodes listing i as a producer.
-std::vector<std::vector<int>> consumers_of(const OpGraph& graph) {
-  std::vector<std::vector<int>> consumers(graph.nodes.size());
-  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-    for (const int dep : graph.nodes[i].deps) {
-      consumers[static_cast<std::size_t>(dep)].push_back(
-          static_cast<int>(i));
-    }
-  }
-  return consumers;
-}
-
 /// Effective phase of a node under the graph's tag (mirrors the verifier's
 /// phase pass): fusing across a phase boundary would hide a cross-phase
 /// edge from it, so the matchers refuse.
@@ -57,99 +49,146 @@ Phase effective_phase(const OpGraph& graph, const OpNode& node) {
   return node.phase.value_or(graph.phase);
 }
 
-/// Replaces the matched chain (strictly increasing indices; each element
-/// the sole consumer of the previous) with `fused` at the head's position,
-/// erasing the tail elements and remapping every dep: edges into the old
-/// tail now read the fused node, and indices shift down past the erased
-/// slots. The head's producers become the fused node's producers.
-void splice_chain(OpGraph& graph, const std::vector<int>& chain,
-                  OpNode fused) {
-  const int head = chain.front();
-  const int count = static_cast<int>(graph.nodes.size());
-
-  std::vector<char> erased(graph.nodes.size(), 0);
-  for (std::size_t c = 1; c < chain.size(); ++c) {
-    erased[static_cast<std::size_t>(chain[c])] = 1;
-  }
-  // old index -> new index (chain members collapse onto the head).
-  std::vector<int> remap(graph.nodes.size(), -1);
-  int next = 0;
-  for (int i = 0; i < count; ++i) {
-    if (erased[static_cast<std::size_t>(i)]) continue;
-    remap[static_cast<std::size_t>(i)] = next++;
-  }
-  for (const int member : chain) {
-    remap[static_cast<std::size_t>(member)] =
-        remap[static_cast<std::size_t>(head)];
+/// One pass's rewrite of a graph in a single forward scan. Fan-out (the
+/// consumer count, and the consumer when there is only one) is counted once
+/// up front; the matcher walks heads in index order, fuse() puts each
+/// match's fused node in its head's slot and marks the other members
+/// absorbed, and finish() compacts the node list once, remapping deps.
+///
+/// This finds the same matches as rescanning from node 0 after every
+/// splice: a fused node matches nothing, a splice changes no other node's
+/// kind, volumes or consumer count, and a member's only producer is the
+/// previous member, so no later head can reach a member already taken.
+class ChainRewriter {
+ public:
+  explicit ChainRewriter(OpGraph& graph)
+      : graph_(graph), links_(graph.nodes.size()) {
+    for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
+      for (const int dep : graph.nodes[i].deps) {
+        Links& producer = links_[static_cast<std::size_t>(dep)];
+        ++producer.consumers;
+        producer.sole_consumer = static_cast<int>(i);
+      }
+    }
   }
 
-  fused.deps = graph.nodes[static_cast<std::size_t>(head)].deps;
-  std::vector<OpNode> nodes;
-  nodes.reserve(static_cast<std::size_t>(next));
-  for (int i = 0; i < count; ++i) {
-    if (erased[static_cast<std::size_t>(i)]) continue;
-    OpNode node = i == head ? std::move(fused)
-                            : std::move(graph.nodes[static_cast<std::size_t>(i)]);
-    for (int& dep : node.deps) dep = remap[static_cast<std::size_t>(dep)];
-    nodes.push_back(std::move(node));
+  [[nodiscard]] int size() const { return static_cast<int>(links_.size()); }
+
+  /// False once an earlier match absorbed node `i` into its fused node.
+  [[nodiscard]] bool free(int i) const {
+    return links_[static_cast<std::size_t>(i)].absorbed_into < 0;
   }
-  graph.nodes = std::move(nodes);
-}
+
+  /// The only node reading `i`, or -1 when `i` has no or several readers.
+  [[nodiscard]] int sole_consumer(int i) const {
+    const Links& links = links_[static_cast<std::size_t>(i)];
+    return links.consumers == 1 ? links.sole_consumer : -1;
+  }
+
+  /// Replaces the matched chain (strictly increasing indices; each member
+  /// the sole consumer of the previous) with `fused`: the head's slot takes
+  /// the fused node and the head's producers, the rest are absorbed.
+  void fuse(std::initializer_list<int> chain, OpNode fused) {
+    const int head = *chain.begin();
+    OpNode& slot = graph_.nodes[static_cast<std::size_t>(head)];
+    fused.deps = std::move(slot.deps);
+    slot = std::move(fused);
+    for (const int member : chain) {
+      if (member != head) {
+        links_[static_cast<std::size_t>(member)].absorbed_into = head;
+      }
+    }
+    ++rewrites_;
+  }
+
+  /// Drops the absorbed nodes, remaps every dep, and returns the rewrite
+  /// count.
+  int finish() {
+    if (rewrites_ == 0) return 0;
+    auto& nodes = graph_.nodes;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      Links& links = links_[i];
+      if (links.absorbed_into >= 0) {
+        // Edges into an absorbed member read its (earlier) head.
+        links.new_index =
+            links_[static_cast<std::size_t>(links.absorbed_into)].new_index;
+        continue;
+      }
+      links.new_index = static_cast<int>(next);
+      if (next != i) nodes[next] = std::move(nodes[i]);
+      for (int& dep : nodes[next].deps) {
+        dep = links_[static_cast<std::size_t>(dep)].new_index;
+      }
+      ++next;
+    }
+    nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(next),
+                nodes.end());
+    return rewrites_;
+  }
+
+ private:
+  struct Links {
+    int consumers = 0;
+    int sole_consumer = -1;  ///< the last consumer seen; the only one if
+                             ///< consumers == 1
+    int absorbed_into = -1;  ///< head of the match that took this node
+    int new_index = -1;      ///< index after finish() compacts the list
+  };
+
+  OpGraph& graph_;
+  std::vector<Links> links_;
+  int rewrites_ = 0;
+};
 
 /// GEMM(QK^T) -> softmax -> GEMM(AV), exclusive and shape-coherent,
 /// becomes one kFusedAttention node. The context GEMM must be the score
 /// GEMM's (m, n, k) permutation -- anything else is not an attention block
 /// and the pattern refuses.
 int fuse_attention_pass(OpGraph& graph) {
-  int rewrites = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto consumers = consumers_of(graph);
-    for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-      const OpNode& scores = graph.nodes[i];
-      if (scores.kind != OpKind::kGemm || consumers[i].size() != 1) continue;
-      const int j = consumers[i][0];
-      const OpNode& softmax = graph.nodes[static_cast<std::size_t>(j)];
-      if (softmax.kind != OpKind::kSoftmax || softmax.deps.size() != 1 ||
-          consumers[static_cast<std::size_t>(j)].size() != 1) {
-        continue;
-      }
-      const int l = consumers[static_cast<std::size_t>(j)][0];
-      const OpNode& context = graph.nodes[static_cast<std::size_t>(l)];
-      if (context.kind != OpKind::kGemm || context.deps.size() != 1) continue;
-      // Shape coherence: softmax rows cover every (head, query) row of the
-      // score output, its row length is the attend length, and the context
-      // GEMM consumes exactly the softmaxed scores.
-      if (softmax.rows != scores.repeat * scores.m ||
-          softmax.row_len != scores.n) {
-        continue;
-      }
-      if (context.m != scores.m || context.k != scores.n ||
-          context.n != scores.k || context.repeat != scores.repeat) {
-        continue;
-      }
-      if (effective_phase(graph, scores) != effective_phase(graph, softmax) ||
-          effective_phase(graph, softmax) != effective_phase(graph, context)) {
-        continue;
-      }
-      OpNode node;
-      node.kind = OpKind::kFusedAttention;
-      node.label = "fused-attention";
-      node.m = scores.m;
-      node.k = scores.k;
-      node.n = scores.n;
-      node.repeat = scores.repeat;
-      node.rows = softmax.rows;
-      node.row_len = softmax.row_len;
-      node.phase = scores.phase;
-      splice_chain(graph, {static_cast<int>(i), j, l}, std::move(node));
-      ++rewrites;
-      changed = true;
-      break;  // indices shifted; rescan
+  ChainRewriter rewriter(graph);
+  for (int i = 0; i < rewriter.size(); ++i) {
+    if (!rewriter.free(i)) continue;
+    const OpNode& scores = graph.nodes[static_cast<std::size_t>(i)];
+    if (scores.kind != OpKind::kGemm) continue;
+    const int j = rewriter.sole_consumer(i);
+    if (j < 0) continue;
+    const OpNode& softmax = graph.nodes[static_cast<std::size_t>(j)];
+    if (softmax.kind != OpKind::kSoftmax || softmax.deps.size() != 1) {
+      continue;
     }
+    const int l = rewriter.sole_consumer(j);
+    if (l < 0) continue;
+    const OpNode& context = graph.nodes[static_cast<std::size_t>(l)];
+    if (context.kind != OpKind::kGemm || context.deps.size() != 1) continue;
+    // Shape coherence: softmax rows cover every (head, query) row of the
+    // score output, its row length is the attend length, and the context
+    // GEMM consumes exactly the softmaxed scores.
+    if (softmax.rows != scores.repeat * scores.m ||
+        softmax.row_len != scores.n) {
+      continue;
+    }
+    if (context.m != scores.m || context.k != scores.n ||
+        context.n != scores.k || context.repeat != scores.repeat) {
+      continue;
+    }
+    if (effective_phase(graph, scores) != effective_phase(graph, softmax) ||
+        effective_phase(graph, softmax) != effective_phase(graph, context)) {
+      continue;
+    }
+    OpNode node;
+    node.kind = OpKind::kFusedAttention;
+    node.label = "fused-attention";
+    node.m = scores.m;
+    node.k = scores.k;
+    node.n = scores.n;
+    node.repeat = scores.repeat;
+    node.rows = softmax.rows;
+    node.row_len = softmax.row_len;
+    node.phase = scores.phase;
+    rewriter.fuse({i, j, l}, std::move(node));
   }
-  return rewrites;
+  return rewriter.finish();
 }
 
 /// Shared matcher for the two GEMM-epilogue fusions: GEMM -> (vector op of
@@ -158,30 +197,24 @@ int fuse_attention_pass(OpGraph& graph) {
 template <typename Coherent, typename Build>
 int fuse_epilogue(OpGraph& graph, OpKind tail_kind, Coherent coherent,
                   Build build) {
-  int rewrites = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto consumers = consumers_of(graph);
-    for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-      const OpNode& gemm = graph.nodes[i];
-      if (gemm.kind != OpKind::kGemm || consumers[i].size() != 1) continue;
-      const int j = consumers[i][0];
-      const OpNode& tail = graph.nodes[static_cast<std::size_t>(j)];
-      if (tail.kind != tail_kind || tail.deps.size() != 1) continue;
-      if (!coherent(gemm, tail)) continue;
-      if (effective_phase(graph, gemm) != effective_phase(graph, tail)) {
-        continue;
-      }
-      OpNode node = build(gemm, tail);
-      node.phase = gemm.phase;
-      splice_chain(graph, {static_cast<int>(i), j}, std::move(node));
-      ++rewrites;
-      changed = true;
-      break;
+  ChainRewriter rewriter(graph);
+  for (int i = 0; i < rewriter.size(); ++i) {
+    if (!rewriter.free(i)) continue;
+    const OpNode& gemm = graph.nodes[static_cast<std::size_t>(i)];
+    if (gemm.kind != OpKind::kGemm) continue;
+    const int j = rewriter.sole_consumer(i);
+    if (j < 0) continue;
+    const OpNode& tail = graph.nodes[static_cast<std::size_t>(j)];
+    if (tail.kind != tail_kind || tail.deps.size() != 1) continue;
+    if (!coherent(gemm, tail)) continue;
+    if (effective_phase(graph, gemm) != effective_phase(graph, tail)) {
+      continue;
     }
+    OpNode node = build(gemm, tail);
+    node.phase = gemm.phase;
+    rewriter.fuse({i, j}, std::move(node));
   }
-  return rewrites;
+  return rewriter.finish();
 }
 
 int fuse_gemm_gelu_pass(OpGraph& graph) {
@@ -222,6 +255,17 @@ int fuse_gemm_layernorm_pass(OpGraph& graph) {
       });
 }
 
+/// Runs one catalog pass and machine-checks its output: conservation
+/// (per-kind volume totals vs config closed forms) and the fused-aware
+/// shape/structure passes must all hold, or the rewrite mispriced
+/// something -- abort loudly. A pass that rewrote nothing left the graph
+/// as it was, so there is nothing new to verify.
+int run_pass(const FusionPass& pass, OpGraph& graph) {
+  const int rewrites = pass.apply(graph);
+  if (rewrites > 0) analysis::expect_valid(graph);
+  return rewrites;
+}
+
 }  // namespace
 
 const std::vector<FusionPass>& fusion_pass_catalog() {
@@ -237,15 +281,7 @@ int apply_fusion(OpGraph& graph, FusionSet set) {
   NOVA_EXPECTS((set & ~kFuseAll) == 0);
   int total = 0;
   for (const auto& pass : fusion_pass_catalog()) {
-    if ((set & pass.bit) == 0) continue;
-    const int rewrites = pass.apply(graph);
-    if (rewrites > 0) {
-      // Machine-check the rewrite: conservation (per-kind volume totals vs
-      // config closed forms) and the fused-aware shape/structure passes
-      // must all hold, or the rewrite mispriced something -- abort loudly.
-      analysis::expect_valid(graph);
-      total += rewrites;
-    }
+    if ((set & pass.bit) != 0) total += run_pass(pass, graph);
   }
   return total;
 }
@@ -258,12 +294,30 @@ OpGraph fused(const OpGraph& graph, FusionSet set) {
 
 FusionTuning tune_fusion(const PipelineExecutor& executor,
                          const OpGraph& graph) {
+  const auto& catalog = fusion_pass_catalog();
+  // Lattice order: mask m's graph is the graph of m minus its highest bit
+  // with the highest bit's pass run on top. Catalog order is bit order, so
+  // that is exactly apply_fusion(copy, m), built from 7 pass runs instead
+  // of 12 -- and each distinct candidate is verified once, by the pass
+  // that produced it. Mask 0 is the input graph itself.
+  std::array<OpGraph, kFuseAll + 1> rewritten;
   FusionTuning tuning;
+  tuning.candidates.reserve(rewritten.size());
   for (FusionSet mask = kFuseNone; mask <= kFuseAll; ++mask) {
-    OpGraph candidate = graph;
-    const int rewrites =
-        mask == kFuseNone ? 0 : apply_fusion(candidate, mask);
-    const auto timeline = executor.execute(candidate);
+    const OpGraph* candidate = &graph;
+    int rewrites = 0;
+    if (mask != kFuseNone) {
+      const FusionSet top = std::bit_floor(mask);
+      const FusionSet parent = mask & ~top;
+      const FusionPass& pass =
+          catalog[static_cast<std::size_t>(std::countr_zero(top))];
+      NOVA_ASSERT(pass.bit == top);
+      rewritten[mask] = parent == kFuseNone ? graph : rewritten[parent];
+      rewrites = tuning.candidates[parent].rewrites +
+                 run_pass(pass, rewritten[mask]);
+      candidate = &rewritten[mask];
+    }
+    const auto timeline = executor.execute(*candidate);
     tuning.candidates.push_back({mask, timeline.span_cycles, rewrites});
     if (mask == kFuseNone) {
       tuning.best = kFuseNone;

@@ -23,7 +23,9 @@
 // when the sub-chain is exclusive (producer feeds only the consumer, the
 // consumer reads only the producer) and the declared volumes cohere, so a
 // pass is idempotent by construction: its own output contains no matching
-// pattern.
+// pattern. A pass is one forward scan: fan-out is counted once, every
+// match is collected in index order (a node an earlier match took never
+// heads another), and the node list is compacted once at the end.
 #pragma once
 
 #include <optional>
@@ -113,6 +115,14 @@ struct FusionTuning {
 /// Prices all 8 fusion masks of `graph` under `executor` and returns the
 /// argmin span (strict-< replacement from mask 0 upward: never slower than
 /// the unfused baseline, deterministic lowest-mask tie-break).
+///
+/// Candidates are built in lattice order: mask m's graph is a copy of the
+/// graph of m minus its highest bit, with the highest bit's pass run on
+/// top. Catalog order is bit order, so each candidate is exactly
+/// fused(graph, m), built with 7 pass runs in all instead of 12. Each
+/// distinct candidate is verified once through analysis::expect_valid,
+/// when the pass that produced it rewrote something (a pass that fired
+/// nothing leaves its parent's already verified graph).
 [[nodiscard]] FusionTuning tune_fusion(const PipelineExecutor& executor,
                                        const OpGraph& graph);
 
