@@ -74,9 +74,9 @@ class ChainRewriter {
 
   [[nodiscard]] int size() const { return static_cast<int>(links_.size()); }
 
-  /// False once an earlier match absorbed node `i` into its fused node.
-  [[nodiscard]] bool free(int i) const {
-    return links_[static_cast<std::size_t>(i)].absorbed_into < 0;
+  /// True once an earlier match absorbed node `i` into its fused node.
+  [[nodiscard]] bool absorbed(int i) const {
+    return links_[static_cast<std::size_t>(i)].absorbed_into >= 0;
   }
 
   /// The only node reading `i`, or -1 when `i` has no or several readers.
@@ -148,7 +148,7 @@ class ChainRewriter {
 int fuse_attention_pass(OpGraph& graph) {
   ChainRewriter rewriter(graph);
   for (int i = 0; i < rewriter.size(); ++i) {
-    if (!rewriter.free(i)) continue;
+    if (rewriter.absorbed(i)) continue;
     const OpNode& scores = graph.nodes[static_cast<std::size_t>(i)];
     if (scores.kind != OpKind::kGemm) continue;
     const int j = rewriter.sole_consumer(i);
@@ -199,7 +199,7 @@ int fuse_epilogue(OpGraph& graph, OpKind tail_kind, Coherent coherent,
                   Build build) {
   ChainRewriter rewriter(graph);
   for (int i = 0; i < rewriter.size(); ++i) {
-    if (!rewriter.free(i)) continue;
+    if (rewriter.absorbed(i)) continue;
     const OpNode& gemm = graph.nodes[static_cast<std::size_t>(i)];
     if (gemm.kind != OpKind::kGemm) continue;
     const int j = rewriter.sole_consumer(i);
