@@ -24,8 +24,9 @@ int main() {
                   "softmax worst |err| (n=64)", "NoC mult",
                   "NOVA energy (mJ, BERT-mini)"});
   for (const int bp : {4, 8, 16, 32}) {
-    const auto exp_fit = approx::fit_mlp(approx::NonLinearFn::kExp, bp);
-    const auto gelu_fit = approx::fit_mlp(approx::NonLinearFn::kGelu, bp);
+    auto& library = approx::PwlLibrary::instance();
+    const auto& exp_fit = library.get(approx::NonLinearFn::kExp, bp);
+    const auto& gelu_fit = library.get(approx::NonLinearFn::kGelu, bp);
     const double sm_err =
         approx::softmax_worst_error(64, bp, /*trials=*/30);
     const int mult = (bp + 7) / 8;

@@ -16,9 +16,7 @@ namespace {
 using namespace nova;
 
 const approx::PwlTable& gelu16() {
-  static const approx::PwlTable table =
-      approx::fit_mlp(approx::NonLinearFn::kGelu, 16);
-  return table;
+  return approx::PwlLibrary::instance().get(approx::NonLinearFn::kGelu, 16);
 }
 
 void BM_PwlEvalDouble(benchmark::State& state) {

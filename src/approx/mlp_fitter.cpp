@@ -291,21 +291,4 @@ PwlTable fit_mlp(const ScalarFn& fn, std::string label, int breakpoints,
                   std::move(pieces.slopes), std::move(pieces.biases));
 }
 
-const PwlTable& PwlLibrary::get(NonLinearFn fn, int breakpoints) {
-  const Key key{fn, breakpoints};
-  // std::map references are stable across inserts, so handing the table
-  // out by reference after unlocking is safe.
-  const std::scoped_lock lock(mutex_);
-  auto it = tables_.find(key);
-  if (it == tables_.end()) {
-    it = tables_.emplace(key, fit_mlp(fn, breakpoints)).first;
-  }
-  return it->second;
-}
-
-PwlLibrary& PwlLibrary::instance() {
-  static PwlLibrary library;
-  return library;
-}
-
 }  // namespace nova::approx

@@ -1,11 +1,18 @@
 // NN-LUT-style breakpoint learning (paper Section IV): a 2-layer MLP with
-// ReLU hidden units is trained at compile time to regress the non-linear
-// function; since a 1-D ReLU MLP *is* a piecewise-linear function, the
-// trained network is converted exactly into a PwlTable. The number of hidden
-// nodes sets the number of breakpoints ("the number of nodes in the hidden
-// layer represent the number of breakpoints").
+// ReLU hidden units is trained offline to regress the non-linear function;
+// since a 1-D ReLU MLP *is* a piecewise-linear function, the trained
+// network is converted exactly into a PwlTable. The number of hidden nodes
+// sets the number of breakpoints ("the number of nodes in the hidden layer
+// represent the number of breakpoints").
+//
+// Offline means at build time for the default tables: the nova_pwl_bake
+// generator trains every function in all_functions() at each of
+// kBakedBreakpoints with MlpFitOptions{}, and PwlLibrary serves those keys
+// from the generated arrays without training. fit_mlp itself always
+// trains; it is the reference the baked tables are checked against.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -14,7 +21,7 @@
 
 namespace nova::approx {
 
-/// Training hyper-parameters for the compile-time fit.
+/// Training hyper-parameters for the offline fit.
 struct MlpFitOptions {
   int iterations = 4000;
   int samples = 512;          ///< training points over the fit domain
@@ -36,16 +43,34 @@ struct MlpFitOptions {
                                int breakpoints, Domain domain,
                                const MlpFitOptions& options = {});
 
-/// A trained PWL provider with memoization: tables are expensive to train
-/// and reused across benches/examples/the mapper. get() is thread-safe
-/// (the serving layer's worker pool shares the process-wide instance);
-/// returned references stay valid for the library's lifetime.
+/// Breakpoint counts whose fit_mlp(fn, breakpoints) tables are trained at
+/// build time, for every fn in all_functions(): 45 baked keys.
+inline constexpr int kBakedBreakpoints[] = {4, 8, 16, 32, 64};
+
+/// One baked table as the build-time generator emits it: the arrays of a
+/// PwlTable over default_domain(fn), bit for bit.
+struct BakedPwlTable {
+  NonLinearFn fn;
+  int breakpoints;
+  const double* boundaries;  ///< breakpoints - 1
+  const double* slopes;      ///< breakpoints
+  const double* biases;      ///< breakpoints
+};
+
+/// A memoizing PWL provider, reused across benches/examples/the mapper.
+/// get() is thread-safe (the serving layer's worker pool shares the
+/// process-wide instance); returned references stay valid for the
+/// library's lifetime.
 class PwlLibrary {
  public:
-  /// Returns the MLP-fit table for (fn, breakpoints), training on first
-  /// use. Training is serialized under the library mutex; hot paths should
-  /// pre-warm the tables they need before fanning out.
+  /// Returns the MLP-fit table for (fn, breakpoints). Every instance
+  /// serves the baked keys from the build-time arrays; any other key is
+  /// trained by fit_mlp on first use, serialized under the library mutex,
+  /// so hot paths should pre-warm the tables they need before fanning out.
   const PwlTable& get(NonLinearFn fn, int breakpoints);
+
+  /// Number of tables this instance has trained (baked keys never count).
+  [[nodiscard]] std::size_t trained() const;
 
   /// Process-wide shared library instance.
   static PwlLibrary& instance();
@@ -59,8 +84,9 @@ class PwlLibrary {
       return breakpoints < o.breakpoints;
     }
   };
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::map<Key, PwlTable> tables_;
+  std::size_t trained_ = 0;
 };
 
 }  // namespace nova::approx

@@ -142,10 +142,12 @@ void BatchScheduler::price_requests(
     distinct.push_back(entry.first);
   }
 
-  // Pre-warm every PWL table the stream needs on this thread: training is
-  // expensive and PwlLibrary::get serializes it, so warming first keeps
-  // the workers out of each other's way (and out of the training path
-  // entirely). One call per distinct shape, not per request.
+  // Pre-warm every PWL table the stream needs on this thread. Baked keys
+  // only copy build-time arrays, but a key that is not baked (any
+  // --breakpoints or trace value outside approx::kBakedBreakpoints) is
+  // trained on first use under the PwlLibrary mutex, so warming first
+  // keeps the workers out of each other's way and out of the training
+  // path entirely. One call per distinct shape, not per request.
   auto& library = approx::PwlLibrary::instance();
   for (const auto& shape : distinct) {
     (void)library.get(shape.function, shape.breakpoints);

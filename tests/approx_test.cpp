@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "approx/fit.hpp"
@@ -172,8 +173,32 @@ TEST(PwlLibrary, MemoizesTables) {
   EXPECT_EQ(&first, &second);
 }
 
+TEST(PwlLibrary, FreshLibraryServesBakedKeysWithoutTraining) {
+  PwlLibrary lib;
+  for (const NonLinearFn fn : all_functions()) {
+    for (const int bp : kBakedBreakpoints) {
+      EXPECT_EQ(lib.get(fn, bp).breakpoints(), bp) << to_string(fn);
+    }
+  }
+  EXPECT_EQ(lib.trained(), 0u);
+}
+
+TEST(PwlLibrary, TrainsAKeyThatIsNotBakedOnceAcrossThreads) {
+  PwlLibrary lib;
+  std::vector<const PwlTable*> got(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back(
+        [&, t] { got[t] = &lib.get(NonLinearFn::kGelu, 12); });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(lib.trained(), 1u);
+  for (const PwlTable* table : got) EXPECT_EQ(table, got.front());
+  EXPECT_EQ(got.front()->breakpoints(), 12);
+}
+
 TEST(FixedEval, TracksDoubleEvalWithinQuantization) {
-  const PwlTable table = fit_mlp(NonLinearFn::kGelu, 16);
+  const PwlTable& table = PwlLibrary::instance().get(NonLinearFn::kGelu, 16);
   Rng rng(13);
   for (int i = 0; i < 500; ++i) {
     const double x = rng.uniform(-8.0, 8.0);

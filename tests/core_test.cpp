@@ -20,8 +20,7 @@ using approx::NonLinearFn;
 using approx::PwlTable;
 
 const PwlTable& gelu16() {
-  static const PwlTable table = approx::fit_mlp(NonLinearFn::kGelu, 16);
-  return table;
+  return approx::PwlLibrary::instance().get(NonLinearFn::kGelu, 16);
 }
 
 TEST(Mapper, SixteenBreakpointsNeedTwoFlitsAtDoubleClock) {

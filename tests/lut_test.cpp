@@ -17,8 +17,7 @@ using approx::NonLinearFn;
 using approx::PwlTable;
 
 const PwlTable& exp16() {
-  static const PwlTable table = approx::fit_mlp(NonLinearFn::kExp, 16);
-  return table;
+  return approx::PwlLibrary::instance().get(NonLinearFn::kExp, 16);
 }
 
 LutConfig small_lut(LutOrganization organization) {

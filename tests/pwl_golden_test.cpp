@@ -151,5 +151,31 @@ TEST(PwlGolden, DefaultTablesMatchCommittedDigests) {
   }
 }
 
+// The bake check: every table the build baked is bit for bit what fit_mlp
+// trains now, as served by a library that never trained anything.
+TEST(PwlBake, BakedTablesMatchRetrainedTables) {
+  std::vector<DefaultKey> baked;
+  for (const NonLinearFn fn : all_functions()) {
+    for (const int bp : kBakedBreakpoints) baked.push_back({fn, bp});
+  }
+  const std::vector<DefaultKey> keys = default_keys();
+  ASSERT_EQ(baked.size(), keys.size());
+  const std::vector<PwlTable>& trained = trained_defaults();
+  PwlLibrary library;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(baked[i].name(), keys[i].name());
+    const PwlTable& served = library.get(keys[i].fn, keys[i].breakpoints);
+    const PwlTable& want = trained[i];
+    EXPECT_EQ(served.fn(), want.fn()) << keys[i].name();
+    EXPECT_EQ(served.label(), want.label()) << keys[i].name();
+    EXPECT_EQ(served.domain().lo, want.domain().lo) << keys[i].name();
+    EXPECT_EQ(served.domain().hi, want.domain().hi) << keys[i].name();
+    EXPECT_EQ(digest(served), digest(want)) << keys[i].name();
+    EXPECT_EQ(served.quant_boundaries(), want.quant_boundaries())
+        << keys[i].name();
+  }
+  EXPECT_EQ(library.trained(), 0u);
+}
+
 }  // namespace
 }  // namespace nova::approx
