@@ -13,6 +13,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -49,23 +50,20 @@ int main(int argc, char** argv) {
     std::cerr << "usage: nova_pwl_bake OUT.hpp\n";
     return 2;
   }
+  // Largest tables first, so the last ones to finish are short.
+  const auto& breakpoints = nova::approx::kBakedBreakpoints;
   std::vector<Key> keys;
-  for (const NonLinearFn fn : nova::approx::all_functions()) {
-    for (const int bp : nova::approx::kBakedBreakpoints) keys.push_back({fn, bp});
+  for (auto bp = std::rbegin(breakpoints); bp != std::rend(breakpoints); ++bp) {
+    for (const NonLinearFn fn : nova::approx::all_functions()) {
+      keys.push_back({fn, *bp});
+    }
   }
 
-  // Largest tables first, so the last ones to finish are short.
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
-    return keys[a].breakpoints > keys[b].breakpoints;
-  });
   std::vector<PwlTable> tables(keys.size());
   std::atomic<std::size_t> next{0};
   const auto worker = [&] {
-    for (std::size_t n = next++; n < order.size(); n = next++) {
-      const Key& key = keys[order[n]];
-      tables[order[n]] = nova::approx::fit_mlp(key.fn, key.breakpoints);
+    for (std::size_t i = next++; i < keys.size(); i = next++) {
+      tables[i] = nova::approx::fit_mlp(keys[i].fn, keys[i].breakpoints);
     }
   };
   const std::size_t threads = std::clamp<std::size_t>(
@@ -81,7 +79,7 @@ int main(int argc, char** argv) {
          "// fit_mlp tables of every baked key. Do not edit.\n"
          "#pragma once\n\n"
          "#include \"approx/mlp_fitter.hpp\"\n\n"
-         "namespace nova::approx {\n";
+         "namespace nova::approx::baked {\n";
   for (std::size_t i = 0; i < keys.size(); ++i) {
     out << "\n// " << tables[i].label() << ", " << keys[i].breakpoints
         << " breakpoints\n";
@@ -93,13 +91,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  out << "\ninline constexpr BakedPwlTable kBakedPwlTables[] = {\n";
+  out << "\ninline constexpr BakedPwlTable kTables[] = {\n";
   for (std::size_t i = 0; i < keys.size(); ++i) {
     out << "    {static_cast<NonLinearFn>(" << static_cast<int>(keys[i].fn)
         << "), " << keys[i].breakpoints << ", kBoundaries" << i
         << ", kSlopes" << i << ", kBiases" << i << "},\n";
   }
-  out << "};\n\n}  // namespace nova::approx\n";
+  out << "};\n\n}  // namespace nova::approx::baked\n";
 
   std::ofstream file(argv[1], std::ios::binary | std::ios::trunc);
   file << out.str();

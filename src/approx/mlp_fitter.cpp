@@ -179,24 +179,30 @@ Pieces train_mlp_pieces(const ScalarFn& exact, const PwlTable& seed,
                                      exact, domain, options.samples);
 
   // Full-batch MSE gradient. Both passes run branch-free inner loops the
-  // compiler vectorizes, and every sum keeps the summation order of
-  // Mlp::forward and of a per-sample gradient loop, so the trained bits do
-  // not depend on the loop shape. A masked-off ReLU adds +-0.0 where the
-  // branchy form added nothing; that changes no accumulator (they start at
-  // +0.0 and round-to-nearest never makes them -0.0), and a forward sum
-  // differs only in the sign of an exact zero, which reaches the gradient
-  // as a +-0.0 term again.
+  // compiler vectorizes (the ReLU mask selects a factor, not a product, so
+  // no multiply has to be speculated), and every sum keeps the summation
+  // order of Mlp::forward and of a per-sample gradient loop, so the trained
+  // bits do not depend on the loop shape. A masked-off ReLU adds +-0.0
+  // where the branchy form added nothing; that changes no accumulator
+  // (they start at +0.0 and round-to-nearest never makes them -0.0), and a
+  // forward sum differs only in the sign of an exact zero, which reaches
+  // the gradient as a +-0.0 term again.
+  const std::size_t hidden_units = net.w.size();
   std::vector<double> out(xs.size());
   for (int it = 0; it < options.iterations; ++it) {
+    const double* w = net.w.data();
+    const double* c = net.c.data();
+    const double* v = net.v.data();
+
     // Forward pass: one hidden unit at a time across all samples.
     for (std::size_t k = 0; k < xs.size(); ++k) {
       out[k] = net.gamma * xs[k] + net.beta;
     }
-    for (std::size_t i = 0; i < net.w.size(); ++i) {
-      const double w = net.w[i], c = net.c[i], v = net.v[i];
+    for (std::size_t i = 0; i < hidden_units; ++i) {
+      const double wi = w[i], ci = c[i], vi = v[i];
       for (std::size_t k = 0; k < xs.size(); ++k) {
-        const double pre = w * xs[k] + c;
-        out[k] += (pre > 0.0 ? v : 0.0) * pre;
+        const double pre = wi * xs[k] + ci;
+        out[k] += (pre > 0.0 ? vi : 0.0) * pre;
       }
     }
 
@@ -205,10 +211,6 @@ Pieces train_mlp_pieces(const ScalarFn& exact, const PwlTable& seed,
     std::fill(gc.begin(), gc.end(), 0.0);
     std::fill(gv.begin(), gv.end(), 0.0);
     double ggamma = 0.0, gbeta = 0.0;
-    const double* w = net.w.data();
-    const double* c = net.c.data();
-    const double* v = net.v.data();
-    const std::size_t hidden_units = net.w.size();
     for (std::size_t k = 0; k < xs.size(); ++k) {
       const double x = xs[k];
       const double g = 2.0 * (out[k] - ys[k]) / static_cast<double>(xs.size());

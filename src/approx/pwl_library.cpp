@@ -11,7 +11,7 @@ namespace {
 /// The table baked for (fn, breakpoints) at build time, or nullopt when
 /// the key is not baked.
 std::optional<PwlTable> baked_table(NonLinearFn fn, int breakpoints) {
-  for (const BakedPwlTable& t : kBakedPwlTables) {
+  for (const BakedPwlTable& t : baked::kTables) {
     if (t.fn != fn || t.breakpoints != breakpoints) continue;
     const auto n = static_cast<std::size_t>(breakpoints);
     return PwlTable(fn, default_domain(fn),

@@ -10,6 +10,10 @@
 // On a mismatch the test prints the table's recomputed line, so a
 // deliberate change to the trainer can be re-captured by pasting it over
 // the table.
+//
+// The same tables are the reference for the bake check: the build trains
+// them once more (nova_pwl_bake) and PwlLibrary serves that copy, which
+// must equal fit_mlp bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
