@@ -173,16 +173,8 @@ TEST(PwlLibrary, MemoizesTables) {
   EXPECT_EQ(&first, &second);
 }
 
-TEST(PwlLibrary, FreshLibraryServesBakedKeysWithoutTraining) {
-  PwlLibrary lib;
-  for (const NonLinearFn fn : all_functions()) {
-    for (const int bp : kBakedBreakpoints) {
-      EXPECT_EQ(lib.get(fn, bp).breakpoints(), bp) << to_string(fn);
-    }
-  }
-  EXPECT_EQ(lib.trained(), 0u);
-}
-
+// A fresh library serves every baked key without training (trained() == 0):
+// PwlBake.BakedTablesMatchRetrainedTables in pwl_golden_test checks that.
 TEST(PwlLibrary, TrainsAKeyThatIsNotBakedOnceAcrossThreads) {
   PwlLibrary lib;
   std::vector<const PwlTable*> got(4, nullptr);
