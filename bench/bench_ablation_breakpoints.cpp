@@ -23,8 +23,8 @@ int main() {
   out.set_header({"breakpoints", "exp max|err|", "gelu max|err|",
                   "softmax worst |err| (n=64)", "NoC mult",
                   "NOVA energy (mJ, BERT-mini)"});
+  auto& library = approx::PwlLibrary::instance();
   for (const int bp : {4, 8, 16, 32}) {
-    auto& library = approx::PwlLibrary::instance();
     const auto& exp_fit = library.get(approx::NonLinearFn::kExp, bp);
     const auto& gelu_fit = library.get(approx::NonLinearFn::kGelu, bp);
     const double sm_err =
