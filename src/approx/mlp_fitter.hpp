@@ -12,10 +12,12 @@
 // trains; it is the reference the baked tables are checked against.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "approx/pwl.hpp"
 
@@ -65,9 +67,14 @@ class PwlLibrary {
  public:
   /// Returns the MLP-fit table for (fn, breakpoints). Every instance
   /// serves the baked keys from the build-time arrays; any other key is
-  /// trained by fit_mlp on first use, serialized under the library mutex,
-  /// so hot paths should pre-warm the tables they need before fanning out.
+  /// trained by fit_mlp on first use. The first caller claims the key and
+  /// trains it outside the library mutex, so different keys train in
+  /// parallel; a caller asking for a key that is still training waits for
+  /// it instead of training it again.
   const PwlTable& get(NonLinearFn fn, int breakpoints);
+
+  /// True when (fn, breakpoints) is served from the build-time arrays.
+  [[nodiscard]] static bool baked(NonLinearFn fn, int breakpoints);
 
   /// Number of tables this instance has trained (baked keys never count).
   [[nodiscard]] std::size_t trained() const;
@@ -85,7 +92,10 @@ class PwlLibrary {
     }
   };
   mutable std::mutex mutex_;
-  std::map<Key, PwlTable> tables_;
+  /// Signalled whenever a trained table is published.
+  std::condition_variable published_;
+  /// An empty entry is a key claimed by a caller that is training it.
+  std::map<Key, std::optional<PwlTable>> tables_;
   std::size_t trained_ = 0;
 };
 

@@ -1,5 +1,5 @@
-#include <optional>
 #include <utility>
+#include <vector>
 
 #include "approx/baked_pwl_tables.hpp"  // generated by nova_pwl_bake
 #include "approx/mlp_fitter.hpp"
@@ -8,36 +8,50 @@ namespace nova::approx {
 
 namespace {
 
-/// The table baked for (fn, breakpoints) at build time, or nullopt when
-/// the key is not baked.
-std::optional<PwlTable> baked_table(NonLinearFn fn, int breakpoints) {
+/// The build-time arrays of (fn, breakpoints), or null when the key is not
+/// baked.
+const BakedPwlTable* find_baked(NonLinearFn fn, int breakpoints) {
   for (const BakedPwlTable& t : baked::kTables) {
-    if (t.fn != fn || t.breakpoints != breakpoints) continue;
-    const auto n = static_cast<std::size_t>(breakpoints);
-    return PwlTable(fn, default_domain(fn),
-                    {t.boundaries, t.boundaries + n - 1},
-                    {t.slopes, t.slopes + n}, {t.biases, t.biases + n});
+    if (t.fn == fn && t.breakpoints == breakpoints) return &t;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 }  // namespace
 
+bool PwlLibrary::baked(NonLinearFn fn, int breakpoints) {
+  return find_baked(fn, breakpoints) != nullptr;
+}
+
 const PwlTable& PwlLibrary::get(NonLinearFn fn, int breakpoints) {
   const Key key{fn, breakpoints};
-  // std::map references are stable across inserts, so handing the table
-  // out by reference after unlocking is safe.
-  const std::scoped_lock lock(mutex_);
-  auto it = tables_.find(key);
-  if (it == tables_.end()) {
-    std::optional<PwlTable> table = baked_table(fn, breakpoints);
-    if (!table) {
-      table = fit_mlp(fn, breakpoints);
-      ++trained_;
-    }
-    it = tables_.emplace(key, std::move(*table)).first;
+  // std::map references are stable across inserts, and a published entry
+  // is never written again, so handing the table out by reference after
+  // unlocking is safe.
+  std::unique_lock lock(mutex_);
+  const auto [it, claimed] = tables_.try_emplace(key);
+  std::optional<PwlTable>& entry = it->second;
+  if (!claimed) {
+    published_.wait(lock, [&] { return entry.has_value(); });
+    return *entry;
   }
-  return it->second;
+  if (const BakedPwlTable* t = find_baked(fn, breakpoints)) {
+    const auto n = static_cast<std::size_t>(breakpoints);
+    entry.emplace(fn, default_domain(fn),
+                  std::vector<double>(t->boundaries, t->boundaries + n - 1),
+                  std::vector<double>(t->slopes, t->slopes + n),
+                  std::vector<double>(t->biases, t->biases + n));
+    return *entry;
+  }
+  // Train unlocked: other keys are served (and trained) meanwhile, and
+  // callers of this key wait on `published_` above.
+  lock.unlock();
+  PwlTable table = fit_mlp(fn, breakpoints);
+  lock.lock();
+  entry.emplace(std::move(table));
+  ++trained_;
+  published_.notify_all();
+  return *entry;
 }
 
 std::size_t PwlLibrary::trained() const {

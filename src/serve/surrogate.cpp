@@ -1,16 +1,15 @@
 #include "serve/surrogate.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "accel/accelerator.hpp"
 #include "analysis/verifier.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "common/assert.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/sim_session.hpp"
 #include "pipeline/executor.hpp"
@@ -206,33 +205,15 @@ ShapeCost ExactPricer::price_calibrated(const ShapeKey& shape,
 
 namespace {
 
-/// Shared worker-pool shape for the per-shape batch helpers: workers claim
-/// indices off a shared counter; each result lands in its own pre-sized
-/// slot, so the interleaving cannot affect the outcome.
+/// Shared shape of the per-shape batch helpers: every result lands in its
+/// own pre-sized slot, so the worker interleaving cannot affect the
+/// outcome.
 template <typename Result, typename PerShape>
 std::vector<Result> map_shapes(std::size_t count, int threads,
                                const PerShape& per_shape) {
-  NOVA_EXPECTS(threads >= 1);
   std::vector<Result> results(count);
-  const auto fill_slot = [&](std::size_t i) { results[i] = per_shape(i); };
-  const int workers = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads), count));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fill_slot(i);
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < count;
-           i = next.fetch_add(1)) {
-        fill_slot(i);
-      }
-    });
-  }
-  for (auto& worker : pool) worker.join();
+  parallel_for(count, threads,
+               [&](std::size_t i) { results[i] = per_shape(i); });
   return results;
 }
 

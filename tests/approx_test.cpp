@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -187,6 +188,35 @@ TEST(PwlLibrary, TrainsAKeyThatIsNotBakedOnceAcrossThreads) {
   EXPECT_EQ(lib.trained(), 1u);
   for (const PwlTable* table : got) EXPECT_EQ(table, got.front());
   EXPECT_EQ(got.front()->breakpoints(), 12);
+}
+
+// Unbaked keys train outside the library mutex: four threads asking for
+// four different keys each train their own, and the tables are the serial
+// trainer's bit for bit.
+TEST(PwlLibrary, TrainsDistinctUnbakedKeysConcurrently) {
+  PwlLibrary lib;
+  const int breakpoints[] = {12, 13, 14, 15};
+  std::vector<const PwlTable*> got(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    ASSERT_FALSE(PwlLibrary::baked(NonLinearFn::kGelu, breakpoints[t]));
+    threads.emplace_back([&, t] {
+      got[t] = &lib.get(NonLinearFn::kGelu, breakpoints[t]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(lib.trained(), 4u);
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    const PwlTable serial = fit_mlp(NonLinearFn::kGelu, breakpoints[t]);
+    EXPECT_TRUE(same_bits(got[t]->boundaries(), serial.boundaries()));
+    EXPECT_TRUE(same_bits(got[t]->slopes(), serial.slopes()));
+    EXPECT_TRUE(same_bits(got[t]->biases(), serial.biases()));
+  }
 }
 
 TEST(FixedEval, TracksDoubleEvalWithinQuantization) {
