@@ -4,15 +4,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "accel/accelerator.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "common/assert.hpp"
+#include "common/parallel.hpp"
 #include "serve/availability.hpp"
 
 namespace nova::serve {
@@ -82,6 +85,158 @@ struct Pending {
   }
 };
 
+/// A step's pricing identity with the workload interned to a small dense
+/// id: two StepKeys are equal exactly when their ShapeKeys are, and one
+/// hashes without touching a string.
+struct StepKey {
+  std::uint32_t workload = 0;
+  int seq_len = 0;
+  approx::NonLinearFn function = approx::NonLinearFn::kGelu;
+  int breakpoints = 0;
+  pipeline::Phase phase = pipeline::Phase::kPrefill;
+  int kv_len = 0;
+
+  friend bool operator==(const StepKey&, const StepKey&) = default;
+};
+
+struct StepKeyHash {
+  std::size_t operator()(const StepKey& key) const {
+    std::uint64_t h = key.workload;
+    for (const auto field :
+         {static_cast<std::uint64_t>(key.seq_len),
+          static_cast<std::uint64_t>(key.function),
+          static_cast<std::uint64_t>(key.breakpoints),
+          static_cast<std::uint64_t>(key.phase),
+          static_cast<std::uint64_t>(key.kv_len)}) {
+      h = (h ^ field) * 0x9e3779b97f4a7c15ULL;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
+
+/// Pre-warms every PWL table `shapes` need, so pricing workers never wait
+/// on one. Baked keys only copy build-time arrays; a key that is not baked
+/// (any --breakpoints or trace value outside approx::kBakedBreakpoints)
+/// trains, and PwlLibrary::get trains each such key outside its mutex, so
+/// they train in parallel on up to `threads` workers. One call per
+/// distinct table, not per request.
+void warm_tables(const std::vector<ShapeKey>& shapes, int threads) {
+  auto& library = approx::PwlLibrary::instance();
+  std::vector<std::pair<approx::NonLinearFn, int>> untrained;
+  for (const auto& shape : shapes) {
+    if (approx::PwlLibrary::baked(shape.function, shape.breakpoints)) {
+      (void)library.get(shape.function, shape.breakpoints);
+    } else {
+      untrained.emplace_back(shape.function, shape.breakpoints);
+    }
+  }
+  std::sort(untrained.begin(), untrained.end());
+  untrained.erase(std::unique(untrained.begin(), untrained.end()),
+                  untrained.end());
+  parallel_for(untrained.size(), threads, [&](std::size_t i) {
+    (void)library.get(untrained[i].first, untrained[i].second);
+  });
+}
+
+/// The sessions that have not completed a unit yet, in (ready_us, id)
+/// order. The never-dispatched ones are the validated request stream
+/// itself -- already in (arrival_us, id) order -- kept as a doubly linked
+/// list over request ids, so a fused member anywhere in it unlinks in
+/// O(1) and no entry is ever allocated. Only sessions a fault re-queued
+/// (attempt >= 2) live in a set. The head and Cursor walk the merge.
+class NewSessionQueue {
+ public:
+  explicit NewSessionQueue(const std::vector<InferenceRequest>& requests)
+      : requests_(&requests),
+        next_(requests.size()),
+        prev_(requests.size()),
+        head_(requests.empty() ? kNone : 0) {
+    const int n = static_cast<int>(requests.size());
+    for (int i = 0; i < n; ++i) {
+      next_[static_cast<std::size_t>(i)] = i + 1 < n ? i + 1 : kNone;
+      prev_[static_cast<std::size_t>(i)] = i - 1;
+    }
+  }
+
+  /// A forward walk over the merged queue in (ready_us, id) order.
+  class Cursor {
+   public:
+    [[nodiscard]] bool done() const {
+      return fresh_ == kNone && retry_ == queue_->retries_.end();
+    }
+    /// The entry under the cursor; requires !done().
+    [[nodiscard]] Pending operator*() const {
+      return on_fresh() ? queue_->fresh(fresh_) : *retry_;
+    }
+    Cursor& operator++() {
+      if (on_fresh()) {
+        fresh_ = queue_->next_[static_cast<std::size_t>(fresh_)];
+      } else {
+        ++retry_;
+      }
+      return *this;
+    }
+
+   private:
+    friend class NewSessionQueue;
+    explicit Cursor(const NewSessionQueue& queue)
+        : queue_(&queue),
+          fresh_(queue.head_),
+          retry_(queue.retries_.begin()) {}
+    [[nodiscard]] bool on_fresh() const {
+      return fresh_ != kNone && (retry_ == queue_->retries_.end() ||
+                                 queue_->fresh(fresh_) < *retry_);
+    }
+    const NewSessionQueue* queue_;
+    int fresh_;
+    std::set<Pending>::const_iterator retry_;
+  };
+
+  [[nodiscard]] bool empty() const {
+    return head_ == kNone && retries_.empty();
+  }
+  [[nodiscard]] Cursor begin() const { return Cursor(*this); }
+  /// The queue head; requires !empty().
+  [[nodiscard]] Pending front() const { return *begin(); }
+
+  /// Removes a queued entry.
+  void erase(const Pending& entry) {
+    if (entry.attempt > 1) {
+      retries_.erase(entry);
+      return;
+    }
+    const auto id = static_cast<std::size_t>(entry.id);
+    const int prev = prev_[id];
+    const int next = next_[id];
+    if (prev == kNone) {
+      head_ = next;
+    } else {
+      next_[static_cast<std::size_t>(prev)] = next;
+    }
+    if (next != kNone) prev_[static_cast<std::size_t>(next)] = prev;
+  }
+
+  /// Re-queues a session whose first unit was killed (attempt >= 2).
+  void push_retry(const Pending& entry) {
+    NOVA_EXPECTS(entry.attempt > 1);
+    retries_.insert(entry);
+  }
+
+ private:
+  static constexpr int kNone = -1;
+
+  [[nodiscard]] Pending fresh(int id) const {
+    return Pending{(*requests_)[static_cast<std::size_t>(id)].arrival_us,
+                   id, 1};
+  }
+
+  const std::vector<InferenceRequest>* requests_;
+  std::vector<int> next_;
+  std::vector<int> prev_;
+  int head_;
+  std::set<Pending> retries_;
+};
+
 }  // namespace
 
 double ServeReport::latency_percentile_us(double p) const {
@@ -108,12 +263,9 @@ BatchScheduler::BatchScheduler(const ServeConfig& config) : config_(config) {
   validate(config.policy);
 }
 
-void BatchScheduler::price_requests(
+BatchScheduler::UnitTable BatchScheduler::price_requests(
     const std::vector<InferenceRequest>& requests,
-    const std::vector<SessionPlan>& plans,
-    std::vector<RequestOutcome>& outcomes,
-    std::vector<std::vector<StepCost>>& step_costs,
-    SurrogateAudit& audit) const {
+    std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const {
   // NOVA's service time is input-independent (a wave completes when the
   // full tagged flit train has broadcast, regardless of the data values),
   // so pricing is memoized per distinct shape; only the distinct set ever
@@ -123,35 +275,70 @@ void BatchScheduler::price_requests(
   // chunks of a prefill share its one full-sequence shape -- so a stream
   // of classic single-step requests yields the same distinct set (and the
   // same hybrid reconciliation sample) as the pre-session scheduler.
-  // Each step keeps a pointer to its shape's slot (map nodes are stable),
-  // so the fold below indexes costs without a second map lookup.
-  std::map<ShapeKey, std::size_t> shape_slot;
-  std::vector<const std::size_t*> step_slot;
+  //
+  // The step table is flat: units.begin holds each request's step offset
+  // (turned into unit offsets after the fold), and every step gets a
+  // dense shape id, interned in first-seen order on a StepKey, plus its
+  // share.
+  const auto n = requests.size();
+  const bool continuous = config_.continuous;
+  const int chunk_tokens = config_.chunk_tokens;
+  UnitTable units;
+  units.begin.resize(n + 1);
   std::size_t total_steps = 0;
-  for (const auto& plan : plans) total_steps += plan.steps.size();
-  step_slot.reserve(total_steps);
-  for (const auto& plan : plans) {
-    for (const auto& step : plan.steps) {
-      step_slot.push_back(&shape_slot.emplace(step.shape, 0).first->second);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    units.begin[i] = total_steps;
+    const SessionCounts counts =
+        session_counts(requests[i], continuous, chunk_tokens);
+    outcomes[i].session_steps = counts.total_steps();
+    outcomes[i].prefill_chunks = counts.prefill_chunks;
+    total_steps += static_cast<std::size_t>(counts.total_steps());
   }
-  std::vector<ShapeKey> distinct;
-  distinct.reserve(shape_slot.size());
-  for (auto& entry : shape_slot) {
-    entry.second = distinct.size();
-    distinct.push_back(entry.first);
+  units.begin[n] = total_steps;
+
+  std::vector<std::uint32_t> step_shape;
+  std::vector<double> step_share;
+  step_shape.reserve(total_steps);
+  step_share.reserve(total_steps);
+  std::unordered_map<StepKey, std::uint32_t, StepKeyHash> shape_ids;
+  std::vector<ShapeKey> first_seen;  // indexed by shape id
+  std::vector<const std::string*> workloads;  // indexed by workload id
+  for (const auto& req : requests) {
+    std::uint32_t workload = 0;
+    while (workload < workloads.size() &&
+           *workloads[workload] != req.workload) {
+      ++workload;
+    }
+    if (workload == workloads.size()) workloads.push_back(&req.workload);
+    for_each_session_step(
+        req, continuous, chunk_tokens, [&](const StepShape& step) {
+          const StepKey key{workload,        step.seq_len, req.function,
+                            req.breakpoints, step.phase,   step.kv_len};
+          const auto [it, added] = shape_ids.try_emplace(
+              key, static_cast<std::uint32_t>(first_seen.size()));
+          if (added) {
+            first_seen.push_back(ShapeKey{req.workload, step.seq_len,
+                                          req.function, req.breakpoints,
+                                          step.phase, step.kv_len});
+          }
+          step_shape.push_back(it->second);
+          step_share.push_back(step.share);
+        });
   }
 
-  // Pre-warm every PWL table the stream needs on this thread. Baked keys
-  // only copy build-time arrays, but a key that is not baked (any
-  // --breakpoints or trace value outside approx::kBakedBreakpoints) is
-  // trained on first use under the PwlLibrary mutex, so warming first
-  // keeps the workers out of each other's way and out of the training
-  // path entirely. One call per distinct shape, not per request.
-  auto& library = approx::PwlLibrary::instance();
-  for (const auto& shape : distinct) {
-    (void)library.get(shape.function, shape.breakpoints);
-  }
+  // The distinct set in ShapeKey order: pricing, the surrogate's classes
+  // and the hybrid sample see it exactly as when it was a sorted map.
+  std::vector<std::uint32_t> order(first_seen.size());
+  std::iota(order.begin(), order.end(), 0U);
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return first_seen[a] < first_seen[b];
+            });
+  std::vector<ShapeKey> distinct;
+  distinct.reserve(order.size());
+  for (const auto id : order) distinct.push_back(std::move(first_seen[id]));
+
+  warm_tables(distinct, config_.threads);
 
   PricerConfig pricer_config{config_.nova, config_.host, config_.seed,
                              config_.sim_elements_cap};
@@ -217,57 +404,60 @@ void BatchScheduler::price_requests(
         std::max(audit.max_fusion_speedup, cost.fusion_speedup);
   }
 
-  // Fold the shape costs into per-step dispatch costs and per-request
+  // Back to shape-id order, so the fold indexes costs by step shape id.
+  std::vector<ShapeCost> shape_cost(costs.size());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    shape_cost[order[r]] = costs[r];
+  }
+
+  // Fold the shape costs into per-unit dispatch costs and per-request
   // aggregates. A single-step plan with share 1.0 reproduces the
   // pre-session outcome fields bit for bit (1.0 * x == x).
   const double freq = config_.nova.accel_freq_mhz;
-  const bool continuous = config_.continuous;
-  step_costs.assign(requests.size(), {});
-  auto slot = step_slot.begin();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto& plan = plans[i];
+  units.costs.resize(continuous ? total_steps : n);
+  for (std::size_t i = 0; i < n; ++i) {
     auto& outcome = outcomes[i];
     outcome.request = requests[i];
-    auto& steps = step_costs[i];
-    if (continuous) steps.reserve(plan.steps.size());
+    const std::size_t first = units.begin[i];
+    const std::size_t last = units.begin[i + 1];
     double cycles = 0.0;
     std::int64_t ops = 0;
-    const ShapeKey* prev = nullptr;
-    const std::size_t front_slot = **slot;
-    for (const auto& step : plan.steps) {
-      const ShapeCost& cost = costs[**slot++];
-      const double step_cycles = step.share * cost.service_cycles;
+    for (std::size_t s = first; s < last; ++s) {
+      const ShapeCost& cost = shape_cost[step_shape[s]];
+      const double step_cycles = step_share[s] * cost.service_cycles;
       if (continuous) {
-        steps.push_back(StepCost{step_cycles, cost.wave_latency_cycles,
-                                 step_cycles / freq});
+        units.costs[s] = StepCost{step_cycles, cost.wave_latency_cycles,
+                                  step_cycles / freq};
       }
       cycles += step_cycles;
       // One inference runs each shape's ops once however it is sliced:
       // chunks of a prefill share its shape (count it once), decode steps
       // are all distinct kv_lens (each counts).
-      if (prev == nullptr || !(*prev == step.shape)) ops += cost.approx_ops;
-      prev = &step.shape;
+      if (s == first || step_shape[s - 1] != step_shape[s]) {
+        ops += cost.approx_ops;
+      }
     }
     outcome.approx_ops = ops;
     outcome.service_cycles =
         static_cast<sim::Cycle>(std::llround(cycles));
     outcome.service_us = cycles / freq;
-    outcome.wave_latency_cycles = costs[front_slot].wave_latency_cycles;
-    outcome.session_steps = plan.total_steps();
-    outcome.prefill_chunks = plan.prefill_chunks;
+    outcome.wave_latency_cycles =
+        shape_cost[step_shape[first]].wave_latency_cycles;
     // Whole-request dispatch serves the plan as ONE unit: the summed
     // service at the first step's wave latency -- the outcome's own cost.
     if (!continuous) {
-      steps.push_back(StepCost{cycles, outcome.wave_latency_cycles,
-                               outcome.service_us});
+      units.costs[i] = StepCost{cycles, outcome.wave_latency_cycles,
+                                outcome.service_us};
     }
   }
+  if (!continuous) {
+    std::iota(units.begin.begin(), units.begin.end(), std::size_t{0});
+  }
+  return units;
 }
 
 double BatchScheduler::dispatch(
-    const std::vector<InferenceRequest>& requests,
-    const std::vector<SessionPlan>& plans,
-    const std::vector<std::vector<StepCost>>& step_costs,
+    const std::vector<InferenceRequest>& requests, const UnitTable& units,
     ServeReport& report) const {
   // The step-clocked event loop (policy in the header). Scheduler-side
   // session state: a session pins to the instance that completes its first
@@ -282,9 +472,13 @@ double BatchScheduler::dispatch(
   struct Session {
     int next_step = 0;  ///< completed steps == index of the pending step
     int instance = -1;  ///< pinned instance; -1 until a step completes
+    int prefill_chunks = 0;  ///< steps 0..prefill_chunks-1 are prefill
   };
   const auto n = requests.size();
   std::vector<Session> sessions(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sessions[i].prefill_chunks = report.outcomes[i].prefill_chunks;
+  }
   std::vector<double> free_at(static_cast<std::size_t>(config_.instances),
                               0.0);
   std::vector<int> slots_used(static_cast<std::size_t>(config_.instances), 0);
@@ -301,6 +495,8 @@ double BatchScheduler::dispatch(
     id_steps = report.stats.counter_id("serve.steps");
     id_preempted = report.stats.counter_id("serve.preempted_steps");
   }
+  const sim::StatId id_retries = report.stats.counter_id("serve.retries");
+  const sim::SampleId id_backoff = report.stats.sample_id("serve.backoff_us");
   const double cycle_us = 1.0 / config_.nova.accel_freq_mhz;
   const FaultPlan& faults = config_.faults;
   const FailurePolicy& policy = config_.policy;
@@ -312,10 +508,7 @@ double BatchScheduler::dispatch(
   // a pure function of the inputs.
   std::vector<std::set<Pending>> pinned_q(
       static_cast<std::size_t>(config_.instances));
-  std::set<Pending> new_q;
-  for (const auto& req : requests) {
-    new_q.insert(Pending{req.arrival_us, req.id, 1});
-  }
+  NewSessionQueue new_q(requests);
   AvailabilityHeap avail_heap(faults, free_at);
 
   // Dispatch candidates as (start_us, head ready_us, head id, instance):
@@ -343,10 +536,13 @@ double BatchScheduler::dispatch(
     }
   };
 
-  const auto step_of = [&](int id) -> const SessionStep& {
-    const auto& plan = plans[static_cast<std::size_t>(id)];
-    return plan.steps[static_cast<std::size_t>(
-        sessions[static_cast<std::size_t>(id)].next_step)];
+  // The phase a session's pending unit batches under: prefill while its
+  // prefill chunks last (a whole-mode unit starts with its first chunk),
+  // decode after. Function and breakpoints are the request's own.
+  const auto unit_phase = [&](int id) {
+    const auto& sess = sessions[static_cast<std::size_t>(id)];
+    return sess.next_step < sess.prefill_chunks ? pipeline::Phase::kPrefill
+                                                : pipeline::Phase::kDecode;
   };
 
   // Reused across iterations, so a dispatch allocates nothing for its
@@ -370,7 +566,7 @@ double BatchScheduler::dispatch(
         return slots_used[static_cast<std::size_t>(j)] < slot_cap;
       });
       if (found) {
-        const Pending& head = *new_q.begin();
+        const Pending head = new_q.front();
         const double start = faults.next_up_us(
             found->second, std::max(found->first, head.ready_us));
         cand_new = Candidate{start, head.ready_us, head.id, found->second};
@@ -389,7 +585,7 @@ double BatchScheduler::dispatch(
     const auto instance = static_cast<std::size_t>(instance_index);
     const double start = std::get<0>(chosen);
     const Pending head =
-        use_new ? *new_q.begin() : *pinned_q[instance].begin();
+        use_new ? new_q.front() : *pinned_q[instance].begin();
     const auto& head_req = requests[static_cast<std::size_t>(head.id)];
     auto& head_outcome = report.outcomes[static_cast<std::size_t>(head.id)];
 
@@ -410,7 +606,7 @@ double BatchScheduler::dispatch(
                head_req.arrival_us + head_req.deadline_us)) {
         head_outcome.status = RequestStatus::kShed;
         head_outcome.attempts = head.attempt;
-        new_q.erase(new_q.begin());
+        new_q.erase(head);
         live -= 1;
         continue;
       }
@@ -433,7 +629,7 @@ double BatchScheduler::dispatch(
     // not depend on it). That keeps a dispatch at O(max_batch) visits
     // however deep the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    const SessionStep& head_step = step_of(head.id);
+    const pipeline::Phase head_phase = unit_phase(head.id);
     batch.assign(1, head);
     int free_slots = slots_used[instance] < slot_cap
                          ? slot_cap - slots_used[instance]
@@ -443,11 +639,11 @@ double BatchScheduler::dispatch(
     auto nit = new_q.begin();
     while (static_cast<int>(batch.size()) < cap) {
       while (pit != pinned_q[instance].end() && pit->id == head.id) ++pit;
-      while (nit != new_q.end() && nit->id == head.id) ++nit;
+      while (!nit.done() && (*nit).id == head.id) ++nit;
       const bool p_ok =
           pit != pinned_q[instance].end() && pit->ready_us <= start;
       const bool n_ok =
-          free_slots > 0 && nit != new_q.end() && nit->ready_us <= start;
+          free_slots > 0 && !nit.done() && (*nit).ready_us <= start;
       if (!p_ok && !n_ok) break;
       ++scan_visits;
       const bool take_pinned = p_ok && (!n_ok || *pit < *nit);
@@ -457,10 +653,10 @@ double BatchScheduler::dispatch(
       } else {
         ++nit;
       }
-      const SessionStep& cstep = step_of(cand.id);
-      if (cstep.shape.function != head_step.shape.function ||
-          cstep.shape.breakpoints != head_step.shape.breakpoints ||
-          cstep.phase() != head_step.phase()) {
+      const auto& cand_req = requests[static_cast<std::size_t>(cand.id)];
+      if (cand_req.function != head_req.function ||
+          cand_req.breakpoints != head_req.breakpoints ||
+          unit_phase(cand.id) != head_phase) {
         if (!continuous) break;
         continue;
       }
@@ -478,7 +674,8 @@ double BatchScheduler::dispatch(
     for (std::size_t k = 0; k < batch.size(); ++k) {
       const auto ms = static_cast<std::size_t>(batch[k].id);
       const StepCost& cost =
-          step_costs[ms][static_cast<std::size_t>(sessions[ms].next_step)];
+          units.costs[units.begin[ms] +
+                      static_cast<std::size_t>(sessions[ms].next_step)];
       service_us += cost.service_us;
       if (k != 0) {
         service_us -= std::max(0, cost.wave_latency_cycles - 1) * cycle_us;
@@ -524,14 +721,14 @@ double BatchScheduler::dispatch(
         } else {
           const double backoff_us = retry_backoff_us(
               policy, member.attempt, member.id, config_.seed);
-          report.stats.sample("serve.backoff_us", backoff_us);
-          report.stats.bump("serve.retries");
+          report.stats.sample(id_backoff, backoff_us);
+          report.stats.bump(id_retries);
           const Pending retry{*failed_at + backoff_us, member.id,
                               member.attempt + 1};
           if (sess.instance >= 0) {
             pinned_q[instance].insert(retry);
           } else {
-            new_q.insert(retry);
+            new_q.push_retry(retry);
           }
         }
       }
@@ -560,7 +757,7 @@ double BatchScheduler::dispatch(
       if (sess.next_step == 1) outcome.first_finish_us = finish;
       if (id_steps) report.stats.bump(*id_steps);
       if (static_cast<std::size_t>(sess.next_step) ==
-          step_costs[ms].size()) {  // session complete
+          units.begin[ms + 1] - units.begin[ms]) {  // session complete
         slots_used[instance] -= 1;
         completed += 1;
         live -= 1;
@@ -608,23 +805,15 @@ ServeReport BatchScheduler::run(
   report.surrogate.tolerance = config_.surrogate_tol;
   if (requests.empty()) return report;
 
-  // The step decomposition of every request: one chunk + its decode chain
-  // under whole-request dispatch, chunked under continuous batching.
-  std::vector<SessionPlan> plans;
-  plans.reserve(requests.size());
-  for (const auto& req : requests) {
-    plans.push_back(
-        build_session_plan(req, config_.continuous, config_.chunk_tokens));
-  }
-
-  // Phase 1: price every session step (exact, surrogate, or hybrid mode).
-  std::vector<std::vector<StepCost>> step_costs;
-  price_requests(requests, plans, report.outcomes, step_costs,
-                 report.surrogate);
+  // Phase 1: price every session step (exact, surrogate, or hybrid mode)
+  // -- one chunk + its decode chain per request under whole-request
+  // dispatch, chunked under continuous batching.
+  const UnitTable units =
+      price_requests(requests, report.outcomes, report.surrogate);
 
   // Phase 2: serial deterministic dispatch.
   auto& latency_hist = report.stats.histogram("serve.latency_us");
-  const double last_finish = dispatch(requests, plans, step_costs, report);
+  const double last_finish = dispatch(requests, units, report);
 
   // Aggregates, in request order for determinism. Latency and service
   // samples cover served requests only (shed/failed outcomes never
@@ -633,13 +822,16 @@ ServeReport BatchScheduler::run(
   // RequestOutcome unserved contract.
   sim::Histogram* ttft_hist =
       config_.continuous ? &report.stats.histogram("serve.ttft_us") : nullptr;
+  const sim::SampleId id_service = report.stats.sample_id("serve.service_us");
+  const sim::SampleId id_queue = report.stats.sample_id("serve.queue_us");
+  const sim::SampleId id_attempts = report.stats.sample_id("serve.attempts");
   std::uint64_t served = 0;
   for (auto& outcome : report.outcomes) {
     if (outcome.served()) {
       ++served;
       latency_hist.record(outcome.latency_us());
-      report.stats.sample("serve.service_us", outcome.service_us);
-      report.stats.sample("serve.queue_us", outcome.queue_us());
+      report.stats.sample(id_service, outcome.service_us);
+      report.stats.sample(id_queue, outcome.queue_us());
       if (ttft_hist != nullptr) {
         ttft_hist->record(outcome.first_finish_us -
                           outcome.request.arrival_us);
@@ -652,8 +844,7 @@ ServeReport BatchScheduler::run(
       outcome.finish_us = 0.0;
       outcome.first_finish_us = 0.0;
     }
-    report.stats.sample("serve.attempts",
-                        static_cast<double>(outcome.attempts));
+    report.stats.sample(id_attempts, static_cast<double>(outcome.attempts));
     report.status_counts[static_cast<std::size_t>(outcome.status)] += 1;
   }
   report.makespan_us =

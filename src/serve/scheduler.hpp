@@ -27,7 +27,18 @@
 //      in ServeReport::surrogate; CLI/bench drivers exit non-zero on
 //      drift). Requests are independent, so the worker pool shares nothing
 //      but the read-only PWL tables (pre-warmed before fan-out;
-//      PwlLibrary::get is additionally mutex-guarded).
+//      PwlLibrary::get is additionally thread-safe; PWL keys that are not
+//      baked train in parallel across config.threads during that warm-up).
+//
+//      Pricing walks each request's step decomposition
+//      (for_each_session_step in serve/session.hpp) once, into a flat
+//      table: per-request step offsets, one dense shape id per step
+//      (interned on the workload's small id plus the shape's ints, so no
+//      per-step string is built or compared), and one share per step. The
+//      distinct shapes are sorted into ShapeKey order before pricing, so
+//      every pricing mode sees the same set in the same order whatever the
+//      stream order. The fold leaves one flat StepCost array; no
+//      per-request vector survives into dispatch.
 //
 //   2. Dispatch (serial, deterministic): one event-driven loop over
 //      session steps. Each request's session plan (serve/session.hpp) --
@@ -50,11 +61,17 @@
 //      and the pinned queue holds one step per slot-holding session, so
 //      under backlog a dispatch costs O(max_batch) scan visits however
 //      deep the backlog grows (ServeReport::dispatch_scan_visits counts
-//      them). Admission control (deadline/overload shedding) runs once
-//      per session, at its first unit. An outage kills only the unit in
-//      flight: the session keeps its completed units and retries just
-//      that one after backoff (the retry budget, policy.max_retries, is
-//      per unit).
+//      them). The new-session queue costs no allocation per request: the
+//      sessions never dispatched yet are the validated stream itself, in
+//      (arrival, id) order, kept as a linked list over request ids (two
+//      int arrays, O(1) unlink of any fused member); only sessions
+//      re-queued by a fault before their first unit completed sit in a
+//      small (ready_us, id)-ordered set, and the queue head and the fusion
+//      scan walk the merge of the two. Admission control
+//      (deadline/overload shedding) runs once per session, at its first
+//      unit. An outage kills only the unit in flight: the session keeps
+//      its completed units and retries just that one after backoff (the
+//      retry budget, policy.max_retries, is per unit).
 //
 //      config.continuous picks the unit. Continuous batching
 //      (Orca/Sarathi-style iteration-level scheduling) dispatches one
@@ -286,21 +303,25 @@ class BatchScheduler {
       const std::vector<InferenceRequest>& requests) const;
 
  private:
-  /// Prices every distinct step shape across all session plans and folds
-  /// the results into per-request aggregates (outcomes) and per-step
-  /// dispatch costs (step_costs, indexed like each plan's steps).
-  void price_requests(const std::vector<InferenceRequest>& requests,
-                      const std::vector<SessionPlan>& plans,
-                      std::vector<RequestOutcome>& outcomes,
-                      std::vector<std::vector<StepCost>>& step_costs,
-                      SurrogateAudit& audit) const;
+  /// The priced dispatch units of every session, flat: session `id`'s
+  /// units are costs[begin[id]] .. costs[begin[id + 1] - 1], one per plan
+  /// step under continuous batching and one per request in whole mode.
+  struct UnitTable {
+    std::vector<std::size_t> begin;
+    std::vector<StepCost> costs;
+  };
+
+  /// Walks every request's step decomposition into a flat table of
+  /// interned shape ids, prices every distinct shape, and folds the
+  /// results into per-request aggregates (outcomes) and the unit table.
+  [[nodiscard]] UnitTable price_requests(
+      const std::vector<InferenceRequest>& requests,
+      std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const;
 
   /// The step-clocked dispatch loop, over one-unit sessions in whole mode.
   /// Returns the last finish time.
   double dispatch(const std::vector<InferenceRequest>& requests,
-                  const std::vector<SessionPlan>& plans,
-                  const std::vector<std::vector<StepCost>>& step_costs,
-                  ServeReport& report) const;
+                  const UnitTable& units, ServeReport& report) const;
 
   ServeConfig config_;
 };

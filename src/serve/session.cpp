@@ -1,56 +1,38 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace nova::serve {
 
-SessionPlan build_session_plan(const InferenceRequest& req, bool continuous,
-                               int chunk_tokens) {
+SessionCounts session_counts(const InferenceRequest& req, bool continuous,
+                             int chunk_tokens) {
   NOVA_EXPECTS(chunk_tokens >= 1);
   NOVA_EXPECTS(req.gen_steps >= 0);
-  SessionPlan plan;
+  SessionCounts counts;
   if (req.phase == pipeline::Phase::kPrefill) {
-    const ShapeKey prefill{req.workload, req.seq_len,     req.function,
-                           req.breakpoints, req.phase, req.kv_len};
     const int chunk = continuous ? chunk_tokens : req.seq_len;
-    const int chunks = (req.seq_len + chunk - 1) / chunk;
-    plan.prefill_chunks = chunks;
-    plan.steps.reserve(static_cast<std::size_t>(chunks + req.gen_steps));
-    for (int c = 0; c < chunks; ++c) {
-      const int begin = c * chunk;
-      const int end = std::min(req.seq_len, begin + chunk);
-      SessionStep step;
-      step.shape = prefill;
-      // A single chunk carries seq_len/seq_len == 1.0 exactly, so the
-      // unchunked plan prices bit-equal to the pre-session scheduler.
-      step.share = static_cast<double>(end - begin) /
-                   static_cast<double>(req.seq_len);
-      plan.steps.push_back(step);
-    }
-    for (int s = 0; s < req.gen_steps; ++s) {
-      SessionStep step;
-      // Generated tokens decode against the prefilled prompt: the cache
-      // starts at seq_len entries and grows one per emitted token.
-      // seq_len == 1 is the decode-shape convention (one query token).
-      step.shape = ShapeKey{req.workload,    1,
-                            req.function,    req.breakpoints,
-                            pipeline::Phase::kDecode, req.seq_len + s};
-      plan.steps.push_back(step);
-    }
-    plan.decode_steps = req.gen_steps;
+    counts.prefill_chunks = (req.seq_len + chunk - 1) / chunk;
+    counts.decode_steps = req.gen_steps;
   } else {
-    plan.decode_steps = req.gen_steps + 1;
-    plan.steps.reserve(static_cast<std::size_t>(plan.decode_steps));
-    for (int s = 0; s < plan.decode_steps; ++s) {
-      SessionStep step;
-      step.shape = ShapeKey{req.workload,    req.seq_len,
-                            req.function,    req.breakpoints,
-                            pipeline::Phase::kDecode, req.kv_len + s};
-      plan.steps.push_back(step);
-    }
+    counts.decode_steps = req.gen_steps + 1;
   }
+  return counts;
+}
+
+SessionPlan build_session_plan(const InferenceRequest& req, bool continuous,
+                               int chunk_tokens) {
+  SessionPlan plan;
+  plan.steps.reserve(static_cast<std::size_t>(
+      session_counts(req, continuous, chunk_tokens).total_steps()));
+  const SessionCounts counts = for_each_session_step(
+      req, continuous, chunk_tokens, [&](const StepShape& step) {
+        plan.steps.push_back(SessionStep{
+            ShapeKey{req.workload, step.seq_len, req.function,
+                     req.breakpoints, step.phase, step.kv_len},
+            step.share});
+      });
+  plan.prefill_chunks = counts.prefill_chunks;
+  plan.decode_steps = counts.decode_steps;
   return plan;
 }
 

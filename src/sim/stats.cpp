@@ -64,10 +64,17 @@ void StatRegistry::bump(const std::string& name, std::uint64_t delta) {
   bump(counter_id(name), delta);
 }
 
+SampleId StatRegistry::sample_id(const std::string& name) {
+  const auto it = accumulator_index_.find(name);
+  if (it != accumulator_index_.end()) return SampleId(it->second);
+  const auto index = static_cast<std::uint32_t>(accumulator_values_.size());
+  accumulator_index_.emplace(name, index);
+  accumulator_values_.emplace_back();
+  return SampleId(index);
+}
+
 void StatRegistry::sample(const std::string& name, double value) {
-  auto& acc = accumulators_[name];
-  acc.sum += value;
-  acc.n += 1;
+  sample(sample_id(name), value);
 }
 
 Histogram& StatRegistry::histogram(const std::string& name) {
@@ -85,26 +92,30 @@ std::uint64_t StatRegistry::counter(const std::string& name) const {
 }
 
 double StatRegistry::sum(const std::string& name) const {
-  const auto it = accumulators_.find(name);
-  return it == accumulators_.end() ? 0.0 : it->second.sum;
+  const auto it = accumulator_index_.find(name);
+  return it == accumulator_index_.end() ? 0.0
+                                        : accumulator_values_[it->second].sum;
 }
 
 std::uint64_t StatRegistry::sample_count(const std::string& name) const {
-  const auto it = accumulators_.find(name);
-  return it == accumulators_.end() ? 0 : it->second.n;
+  const auto it = accumulator_index_.find(name);
+  return it == accumulator_index_.end() ? 0
+                                        : accumulator_values_[it->second].n;
 }
 
 double StatRegistry::mean(const std::string& name) const {
-  const auto it = accumulators_.find(name);
-  if (it == accumulators_.end() || it->second.n == 0) return 0.0;
-  return it->second.sum / static_cast<double>(it->second.n);
+  const auto it = accumulator_index_.find(name);
+  if (it == accumulator_index_.end()) return 0.0;
+  const Acc& acc = accumulator_values_[it->second];
+  if (acc.n == 0) return 0.0;
+  return acc.sum / static_cast<double>(acc.n);
 }
 
 void StatRegistry::clear() {
-  // Issued StatIds must survive a clear, so the intern table stays and only
-  // the values reset.
+  // Issued StatIds and SampleIds must survive a clear, so the intern
+  // tables stay and only the values reset.
   std::fill(counter_values_.begin(), counter_values_.end(), 0);
-  accumulators_.clear();
+  std::fill(accumulator_values_.begin(), accumulator_values_.end(), Acc{});
   histograms_.clear();
 }
 
@@ -117,8 +128,13 @@ Table StatRegistry::to_table(const std::string& title) const {
     if (counter_values_[index] == 0) continue;
     t.add_row({name, std::to_string(counter_values_[index]), "-"});
   }
-  for (const auto& [name, acc] : accumulators_) {
-    t.add_row({name + " (mean)", Table::num(mean(name), 4),
+  for (const auto& [name, index] : accumulator_index_) {
+    // Like counters: interning alone (sample_id with no sample) adds no
+    // row.
+    const Acc& acc = accumulator_values_[index];
+    if (acc.n == 0) continue;
+    t.add_row({name + " (mean)",
+               Table::num(acc.sum / static_cast<double>(acc.n), 4),
                std::to_string(acc.n)});
   }
   for (const auto& [name, hist] : histograms_) {

@@ -68,15 +68,30 @@ class StatId {
   std::uint32_t index_ = 0;
 };
 
+/// Pre-resolved handle to a StatRegistry accumulator: StatId's
+/// counterpart for sample(), with the same validity rules.
+class SampleId {
+ public:
+  SampleId() = default;
+
+  [[nodiscard]] constexpr bool operator==(const SampleId&) const = default;
+
+ private:
+  friend class StatRegistry;
+  explicit constexpr SampleId(std::uint32_t index) : index_(index) {}
+  std::uint32_t index_ = 0;
+};
+
 /// A registry of named counters (monotonic), accumulators (sum + count,
 /// for means), and histograms (distributions with percentiles). Lookup by
 /// name creates on first use so instrumentation sites stay one-liners.
 ///
-/// Counters have two faces over one dense store:
-///   * the string API (bump/counter by name) for cold paths and reporting,
-///   * the interned-ID API (counter_id once, then bump(StatId)) for hot
-///     loops -- the name resolves to an index into a dense value vector, so
-///     a bump is one add with no per-event string work.
+/// Counters and accumulators each have two faces over one dense store:
+///   * the string API (bump/sample by name) for cold paths and reporting,
+///   * the interned-ID API (counter_id/sample_id once, then bump(StatId) /
+///     sample(SampleId)) for hot loops -- the name resolves to an index
+///     into a dense value vector, so an event is one add with no string
+///     construction or map walk.
 /// Both faces read and write the same values; mixing them on one name is
 /// fine and totals agree exactly.
 class StatRegistry {
@@ -102,7 +117,20 @@ class StatRegistry {
   /// use).
   void bump(const std::string& name, std::uint64_t delta = 1);
 
-  /// Adds a sample to accumulator `name`.
+  /// Interns accumulator `name` and returns its dense handle; idempotent.
+  /// An accumulator that was interned but never sampled adds no row.
+  [[nodiscard]] SampleId sample_id(const std::string& name);
+
+  /// Adds a sample to the interned accumulator.
+  void sample(SampleId id, double value) {
+    NOVA_EXPECTS(id.index_ < accumulator_values_.size());
+    auto& acc = accumulator_values_[id.index_];
+    acc.sum += value;
+    acc.n += 1;
+  }
+
+  /// Adds a sample to accumulator `name` (string face; interns on first
+  /// use).
   void sample(const std::string& name, double value);
 
   /// Returns histogram `name`, creating it on first use.
@@ -116,8 +144,8 @@ class StatRegistry {
   [[nodiscard]] double sum(const std::string& name) const;
   [[nodiscard]] std::uint64_t sample_count(const std::string& name) const;
 
-  /// Zeroes every counter (keeping issued StatIds valid) and drops all
-  /// accumulators and histograms.
+  /// Zeroes every counter and accumulator (keeping issued StatIds and
+  /// SampleIds valid) and drops all histograms.
   void clear();
 
   /// Renders all statistics as a two/three-column table; histograms expand
@@ -135,7 +163,9 @@ class StatRegistry {
   /// to_table row order.
   std::map<std::string, std::uint32_t> counter_index_;
   std::vector<std::uint64_t> counter_values_;
-  std::map<std::string, Acc> accumulators_;
+  /// The same scheme for accumulators.
+  std::map<std::string, std::uint32_t> accumulator_index_;
+  std::vector<Acc> accumulator_values_;
   std::map<std::string, Histogram> histograms_;
 };
 
