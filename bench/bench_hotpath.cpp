@@ -1,20 +1,25 @@
 // End-to-end throughput of the simulation hot path: wall-clock elements/sec
-// through core::SimSession::run across the Table II host deployments, plus
-// the serving layer's pricing throughput (distinct request shapes priced per
-// second through BatchScheduler). Emits every series as machine-readable
-// BENCH_hotpath.json so this and future perf PRs are tracked cross-PR, like
-// BENCH_scalability.json.
+// through core::SimSession::run across the Table II host deployments, the
+// serving layer's pricing throughput (distinct request shapes priced per
+// second through BatchScheduler), and whole-request serving throughput over
+// a fault-free Poisson stream whose few distinct shapes make dispatch, not
+// pricing, the work -- with the global allocation count of that run (this
+// binary links tests/alloc_counter.cpp, the counter the serve_alloc_test
+// gate uses). Emits every series as machine-readable BENCH_hotpath.json so
+// this and future perf PRs are tracked cross-PR, like BENCH_scalability.json.
 //
-// `--smoke` shrinks the element counts so CI can run the binary in seconds;
-// the JSON then carries "smoke": true so readers never compare smoke numbers
-// against full runs.
+// `--smoke` shrinks the element and request counts so CI can run the binary
+// in seconds; the JSON then carries "smoke": true so readers never compare
+// smoke numbers against full runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -142,6 +147,50 @@ ServeResultRow run_serve_case(int requests, int sim_elements_cap) {
   return row;
 }
 
+struct DispatchResultRow {
+  int requests = 0;
+  std::size_t distinct_shapes = 0;
+  double seconds = 0.0;
+  double requests_per_sec = 0.0;
+  std::uint64_t allocations = 0;
+};
+
+/// Times one whole-mode BatchScheduler::run over a fault-free 200k req/s
+/// Poisson stream of the default 96-shape mix on 8 instances (exact pricing
+/// on one thread, a small calibration slice), counting the global
+/// allocations it makes. A second run of the same stream is the one
+/// measured, so the PWL tables and lazily built statics are warm.
+DispatchResultRow run_dispatch_case(int requests) {
+  nova::serve::ServeConfig config;
+  config.nova = nova::core::make_overlay(nova::hw::AcceleratorKind::kTpuV4)
+                    .nova;
+  config.instances = 8;
+  config.threads = 1;
+  config.seed = 1;
+  config.sim_elements_cap = 512;
+  nova::serve::TrafficProfile profile;
+  profile.rate_rps = 200000.0;
+  const auto stream =
+      nova::serve::generate_poisson(requests, profile, config.seed);
+  const nova::serve::BatchScheduler scheduler(config);
+  (void)scheduler.run(stream);
+
+  DispatchResultRow row;
+  const std::uint64_t before = nova::testing::allocation_count();
+  const auto start = std::chrono::steady_clock::now();
+  {
+    const auto report = scheduler.run(stream);
+    row.seconds = seconds_since(start);
+    row.requests = static_cast<int>(report.outcomes.size());
+    row.distinct_shapes = report.surrogate.distinct_shapes;
+  }
+  row.allocations = nova::testing::allocation_count() - before;
+  row.requests_per_sec =
+      row.seconds > 0.0 ? static_cast<double>(row.requests) / row.seconds
+                        : 0.0;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,6 +250,30 @@ int main(int argc, char** argv) {
           ", \"sim_elements_cap\": " + std::to_string(cap) +
           ", \"seconds\": " + Table::num(row.seconds, 4) +
           ", \"requests_per_sec\": " + Table::num(row.requests_per_sec, 1) +
+          "}\n";
+  json += "  ],\n  \"serve_dispatch\": [\n";
+
+  std::puts("\nWhole-request serving throughput (BatchScheduler::run, "
+            "fault-free, 1 worker thread)\n");
+  Table dispatch_table("Serve dispatch throughput");
+  dispatch_table.set_header(
+      {"mode", "requests", "distinct shapes", "seconds", "req/s",
+       "allocations"});
+  const auto dispatch = run_dispatch_case(smoke ? 10000 : 100000);
+  dispatch_table.add_row({"whole", std::to_string(dispatch.requests),
+                          std::to_string(dispatch.distinct_shapes),
+                          Table::num(dispatch.seconds, 3),
+                          Table::num(dispatch.requests_per_sec, 0),
+                          std::to_string(dispatch.allocations)});
+  dispatch_table.print();
+  json += "    {\"mode\": \"whole\", \"requests\": " +
+          std::to_string(dispatch.requests) +
+          ", \"distinct_shapes\": " +
+          std::to_string(dispatch.distinct_shapes) +
+          ", \"seconds\": " + Table::num(dispatch.seconds, 4) +
+          ", \"requests_per_sec\": " +
+          Table::num(dispatch.requests_per_sec, 0) +
+          ", \"allocations\": " + std::to_string(dispatch.allocations) +
           "}\n";
   json += "  ]\n}\n";
 
