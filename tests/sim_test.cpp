@@ -215,30 +215,46 @@ TEST(Stats, ToTableParityBetweenFaces) {
   StatRegistry by_string;
   by_string.bump("alpha", 3);
   by_string.bump("beta", 7);
+  by_string.sample("gamma", 1.5);
+  by_string.sample("gamma", 2.5);
 
   StatRegistry by_id;
   const StatId alpha = by_id.counter_id("alpha");
   const StatId beta = by_id.counter_id("beta");
-  // Interned but never bumped: must not add a row.
+  const SampleId gamma = by_id.sample_id("gamma");
+  // Interned but never bumped or sampled: must not add a row.
   (void)by_id.counter_id("never_bumped");
+  (void)by_id.sample_id("never_sampled");
   by_id.bump(alpha, 2);
   by_id.bump(alpha);
   by_id.bump(beta, 7);
+  by_id.sample(gamma, 1.5);
+  by_id.sample("gamma", 2.5);  // the string face reaches the same one
 
   EXPECT_EQ(by_string.to_table().to_ascii(), by_id.to_table().to_ascii());
   EXPECT_EQ(by_id.to_table().to_ascii().find("never_bumped"),
             std::string::npos);
+  EXPECT_EQ(by_id.to_table().to_ascii().find("never_sampled"),
+            std::string::npos);
+  EXPECT_EQ(by_id.sample_count("gamma"), 2u);
+  EXPECT_DOUBLE_EQ(by_id.mean("gamma"), 2.0);
 }
 
 TEST(Stats, ClearZeroesCountersButKeepsIdsValid) {
   StatRegistry stats;
   const StatId id = stats.counter_id("x");
+  const SampleId sid = stats.sample_id("y");
   stats.bump(id, 9);
+  stats.sample(sid, 3.0);
   stats.clear();
   EXPECT_EQ(stats.counter(id), 0u);
   EXPECT_EQ(stats.counter("x"), 0u);
-  stats.bump(id, 4);  // the handle survives the clear
+  EXPECT_EQ(stats.sample_count("y"), 0u);
+  EXPECT_EQ(stats.to_table().to_ascii().find("y (mean)"), std::string::npos);
+  stats.bump(id, 4);  // the handles survive the clear
+  stats.sample(sid, 5.0);
   EXPECT_EQ(stats.counter("x"), 4u);
+  EXPECT_DOUBLE_EQ(stats.mean("y"), 5.0);
 }
 
 TEST(Stats, CountersAccumulate) {
