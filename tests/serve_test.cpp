@@ -744,6 +744,72 @@ TEST(PricingSurrogate, HybridReconcilesAndKeepsSurrogateOutcomes) {
   EXPECT_TRUE(exact.surrogate.within_tolerance);
 }
 
+TEST(PricingSurrogate, HybridFusionAutoIdenticalAcrossThreadCounts) {
+  // The configuration of the pricing-bound benchmark workload: hybrid
+  // pricing with the per-shape fusion tuner, over enough distinct decode
+  // lengths that interpolation runs. Predictions, anchors and the hybrid
+  // sample all run on the worker pool, so every outcome field and the
+  // whole audit must be bit-identical at any thread count.
+  const auto requests = interpolating_stream(96);
+  auto config = small_pool(2, 1);
+  config.pricing = PricingMode::kHybrid;
+  config.fusion = pipeline::FusionMode::kAuto;
+  const auto one = BatchScheduler(config).run(requests);
+  config.threads = 2;
+  const auto two = BatchScheduler(config).run(requests);
+  config.threads = 8;
+  const auto eight = BatchScheduler(config).run(requests);
+
+  ASSERT_EQ(one.outcomes.size(), requests.size());
+  ASSERT_LT(one.surrogate.anchors_priced, one.surrogate.distinct_shapes);
+  ASSERT_FALSE(one.surrogate.samples.empty());
+  EXPECT_GT(one.surrogate.fused_shapes, 0u);
+  for (const auto* other : {&two, &eight}) {
+    ASSERT_EQ(other->outcomes.size(), one.outcomes.size());
+    for (std::size_t i = 0; i < one.outcomes.size(); ++i) {
+      const auto& a = one.outcomes[i];
+      const auto& b = other->outcomes[i];
+      EXPECT_EQ(a.request.id, b.request.id);
+      EXPECT_EQ(a.request.kv_len, b.request.kv_len);
+      EXPECT_EQ(a.status, b.status);
+      EXPECT_EQ(a.attempts, b.attempts);
+      EXPECT_EQ(a.instance, b.instance);
+      EXPECT_EQ(a.batch_id, b.batch_id);
+      EXPECT_EQ(a.batch_size, b.batch_size);
+      EXPECT_EQ(a.approx_ops, b.approx_ops);
+      EXPECT_EQ(a.service_cycles, b.service_cycles);
+      EXPECT_EQ(a.wave_latency_cycles, b.wave_latency_cycles);
+      EXPECT_EQ(a.service_us, b.service_us);
+      EXPECT_EQ(a.start_us, b.start_us);
+      EXPECT_EQ(a.finish_us, b.finish_us);
+      EXPECT_EQ(a.session_steps, b.session_steps);
+      EXPECT_EQ(a.prefill_chunks, b.prefill_chunks);
+      EXPECT_EQ(a.first_finish_us, b.first_finish_us);
+    }
+    const auto& x = one.surrogate;
+    const auto& y = other->surrogate;
+    EXPECT_EQ(x.mode, y.mode);
+    EXPECT_EQ(x.distinct_shapes, y.distinct_shapes);
+    EXPECT_EQ(x.classes, y.classes);
+    EXPECT_EQ(x.anchors_priced, y.anchors_priced);
+    EXPECT_EQ(x.fusion, y.fusion);
+    EXPECT_EQ(x.fused_shapes, y.fused_shapes);
+    EXPECT_EQ(x.max_fusion_speedup, y.max_fusion_speedup);
+    EXPECT_EQ(x.max_rel_error, y.max_rel_error);
+    EXPECT_EQ(x.within_tolerance, y.within_tolerance);
+    ASSERT_EQ(x.samples.size(), y.samples.size());
+    for (std::size_t s = 0; s < x.samples.size(); ++s) {
+      EXPECT_EQ(x.samples[s].shape, y.samples[s].shape);
+      EXPECT_EQ(x.samples[s].exact_cycles, y.samples[s].exact_cycles);
+      EXPECT_EQ(x.samples[s].surrogate_cycles,
+                y.samples[s].surrogate_cycles);
+      EXPECT_EQ(x.samples[s].rel_error, y.samples[s].rel_error);
+    }
+    EXPECT_EQ(one.makespan_us, other->makespan_us);
+    EXPECT_EQ(one.status_counts, other->status_counts);
+  }
+}
+
 TEST(PricingSurrogate, ModeNamesRoundTrip) {
   for (const auto mode : {PricingMode::kExact, PricingMode::kSurrogate,
                           PricingMode::kHybrid}) {
