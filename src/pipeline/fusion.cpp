@@ -300,7 +300,9 @@ FusionTuning tune_fusion(const PipelineExecutor& executor,
   // that is exactly apply_fusion(copy, m), built from 7 pass runs instead
   // of 12 -- and each distinct candidate is verified once, by the pass
   // that produced it. Mask 0 is the input graph itself.
-  std::array<OpGraph, kFuseAll + 1> rewritten;
+  // The candidates are per-thread buffers (see the header): each is
+  // overwritten before it is read, so only capacity carries over.
+  thread_local std::array<OpGraph, kFuseAll + 1> rewritten;
   FusionTuning tuning;
   tuning.candidates.reserve(rewritten.size());
   for (FusionSet mask = kFuseNone; mask <= kFuseAll; ++mask) {

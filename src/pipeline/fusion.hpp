@@ -122,7 +122,15 @@ struct FusionTuning {
 /// fused(graph, m), built with 7 pass runs in all instead of 12. Each
 /// distinct candidate is verified once through analysis::expect_valid,
 /// when the pass that produced it rewrote something (a pass that fired
-/// nothing leaves its parent's already verified graph).
+/// nothing leaves its parent's already verified graph), and every
+/// candidate walk runs the executor's own structural check.
+///
+/// The 7 rewritten candidates live in per-thread buffers that persist
+/// across calls: each is copy-assigned from its parent, so node vectors,
+/// labels and deps reuse the capacity an earlier call on the same thread
+/// left behind instead of being allocated afresh. Nothing but capacity
+/// carries over -- every buffer is overwritten before it is read -- so the
+/// verdict is the same on any thread, and callers may tune concurrently.
 [[nodiscard]] FusionTuning tune_fusion(const PipelineExecutor& executor,
                                        const OpGraph& graph);
 

@@ -358,10 +358,12 @@ BatchScheduler::UnitTable BatchScheduler::price_requests(
                                      config_.threads);
     audit.classes = surrogate.classes().size();
     audit.anchors_priced = surrogate.anchors_priced();
-    costs.reserve(distinct.size());
-    for (const auto& shape : distinct) {
-      costs.push_back(surrogate.predict(shape));
-    }
+    // Predictions run on the pool, each into its own pre-sized slot, so
+    // the costs cannot depend on the thread count (predict is reentrant).
+    costs.resize(distinct.size());
+    parallel_for(distinct.size(), config_.threads, [&](std::size_t i) {
+      costs[i] = surrogate.predict(distinct[i]);
+    });
     if (config_.pricing == PricingMode::kHybrid) {
       // Deterministic reconciliation sample: k shapes spread evenly over
       // the shape-sorted distinct set (indices depend only on the set

@@ -21,14 +21,19 @@
 //      time. In `surrogate` mode only a handful of log-spaced anchor
 //      shapes per (workload, phase, function, breakpoints) class run that
 //      path; everything else interpolates on the fitted monotone PWL cost
-//      curves (serve::PricingSurrogate). `hybrid` runs the surrogate and
+//      curves (serve::PricingSurrogate), one prediction per distinct shape
+//      on the worker pool, each into its own pre-sized slot. Under
+//      `--fusion auto` every prediction also runs the per-shape fusion
+//      tuner, whose candidate graphs are per-thread buffers reused from
+//      shape to shape (pipeline/fusion.hpp). `hybrid` runs the surrogate and
 //      additionally re-prices a deterministic sample of distinct shapes
 //      exactly, reconciling the two within surrogate_tol (the audit lands
 //      in ServeReport::surrogate; CLI/bench drivers exit non-zero on
 //      drift). Requests are independent, so the worker pool shares nothing
-//      but the read-only PWL tables (pre-warmed before fan-out;
-//      PwlLibrary::get is additionally thread-safe; PWL keys that are not
-//      baked train in parallel across config.threads during that warm-up).
+//      but read-only state: the surrogate's fitted curves and the PWL
+//      tables (pre-warmed before fan-out; PwlLibrary::get is additionally
+//      thread-safe; PWL keys that are not baked train in parallel across
+//      config.threads during that warm-up).
 //
 //      Pricing walks each request's step decomposition
 //      (for_each_session_step in serve/session.hpp) once, into a flat

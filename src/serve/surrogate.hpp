@@ -36,9 +36,13 @@
 //                non-zero exit by the CLI/bench drivers (the same contract
 //                as the PR-6 verifier hooks).
 //
-// All three modes are byte-identical across worker-thread counts: anchors
-// and samples land in pre-sized slots claimed off an atomic counter, and
-// curve fitting / interpolation run serially after the pool joins.
+// All three modes are byte-identical across worker-thread counts. Anchor
+// calibrations, predictions and hybrid samples run on the worker pool,
+// each landing in its own pre-sized slot claimed off an atomic counter;
+// only curve fitting runs serially, between the anchor pool and the
+// prediction pool. Predictions share the fitted curves read-only
+// (PricingSurrogate is reentrant), so they cannot depend on the
+// interleaving.
 #pragma once
 
 #include <cstdint>
@@ -233,7 +237,9 @@ class PricingSurrogate {
 
   /// Cost of `shape`, whose class must have been seen at build time: the
   /// exact path's graph walk under the class curves' interpolated
-  /// calibration. No cycle-accurate simulation ever runs here.
+  /// calibration. No cycle-accurate simulation ever runs here. Reentrant:
+  /// it reads only the fitted curves, so BatchScheduler runs it over the
+  /// distinct shapes on the worker pool.
   [[nodiscard]] ShapeCost predict(const ShapeKey& shape) const;
 
   /// Fitted classes, ordered by ClassKey (deterministic).
