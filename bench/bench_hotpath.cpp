@@ -5,8 +5,12 @@
 // a fault-free Poisson stream whose few distinct shapes make dispatch, not
 // pricing, the work -- with the global allocation count of that run (this
 // binary links tests/alloc_counter.cpp, the counter the serve_alloc_test
-// gate uses). Emits every series as machine-readable BENCH_hotpath.json so
-// this and future perf PRs are tracked cross-PR, like BENCH_scalability.json.
+// gate uses). The surrogate_predict series prices a few thousand distinct
+// decode shapes through hybrid pricing with the fusion auto-tuner, on 1 and
+// 2 pricing threads, and records shapes per second and allocations per
+// shape through the same counter. Emits every series as machine-readable
+// BENCH_hotpath.json so this and future perf PRs are tracked cross-PR, like
+// BENCH_scalability.json.
 //
 // `--smoke` shrinks the element and request counts so CI can run the binary
 // in seconds; the JSON then carries "smoke": true so readers never compare
@@ -191,6 +195,65 @@ DispatchResultRow run_dispatch_case(int requests) {
   return row;
 }
 
+struct PredictResultRow {
+  int threads = 1;
+  std::size_t shapes = 0;
+  double seconds = 0.0;
+  double shapes_per_sec = 0.0;
+  double allocations_per_shape = 0.0;
+};
+
+/// Times one BatchScheduler::run that prices `shapes` distinct bert-mini
+/// decode shapes (kv_len 1..shapes, one request each) with hybrid pricing
+/// and the fusion auto-tuner on `threads` pricing threads, counting the
+/// global allocations it makes. Nearly all of the run is surrogate
+/// predictions, each a tuned graph walk; the anchors and the hybrid sample
+/// are a few dozen small calibrations. A first run of the same stream
+/// warms the PWL tables and lazily built statics.
+PredictResultRow run_predict_case(int shapes, int threads) {
+  nova::serve::ServeConfig config;
+  config.nova = nova::core::make_overlay(nova::hw::AcceleratorKind::kTpuV4)
+                    .nova;
+  config.instances = 4;
+  config.threads = threads;
+  config.seed = 1;
+  config.sim_elements_cap = 512;
+  config.pricing = nova::serve::PricingMode::kHybrid;
+  config.fusion = nova::pipeline::FusionMode::kAuto;
+  std::vector<nova::serve::InferenceRequest> stream(
+      static_cast<std::size_t>(shapes));
+  for (int i = 0; i < shapes; ++i) {
+    auto& req = stream[static_cast<std::size_t>(i)];
+    req.id = i;
+    req.arrival_us = 4.0 * i;
+    req.workload = "bert-mini";
+    req.phase = nova::pipeline::Phase::kDecode;
+    req.seq_len = 1;
+    req.kv_len = i + 1;
+  }
+  const nova::serve::BatchScheduler scheduler(config);
+  (void)scheduler.run(stream);
+
+  PredictResultRow row;
+  row.threads = threads;
+  const std::uint64_t before = nova::testing::allocation_count();
+  const auto start = std::chrono::steady_clock::now();
+  {
+    const auto report = scheduler.run(stream);
+    row.seconds = seconds_since(start);
+    row.shapes = report.surrogate.distinct_shapes;
+  }
+  const auto allocations = nova::testing::allocation_count() - before;
+  row.shapes_per_sec =
+      row.seconds > 0.0 ? static_cast<double>(row.shapes) / row.seconds
+                        : 0.0;
+  row.allocations_per_shape =
+      row.shapes > 0 ? static_cast<double>(allocations) /
+                           static_cast<double>(row.shapes)
+                     : 0.0;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -275,6 +338,31 @@ int main(int argc, char** argv) {
           Table::num(dispatch.requests_per_sec, 0) +
           ", \"allocations\": " + std::to_string(dispatch.allocations) +
           "}\n";
+  json += "  ],\n  \"surrogate_predict\": [\n";
+
+  std::puts("\nSurrogate prediction throughput (hybrid pricing, fusion auto, "
+            "distinct bert-mini decode shapes)\n");
+  Table predict_table("Surrogate predict throughput");
+  predict_table.set_header(
+      {"threads", "shapes", "seconds", "shapes/s", "allocations/shape"});
+  const std::vector<int> predict_threads = {1, 2};
+  for (std::size_t i = 0; i < predict_threads.size(); ++i) {
+    const auto r = run_predict_case(smoke ? 512 : 4096, predict_threads[i]);
+    const std::string label = std::to_string(r.threads) + " thread" +
+                              (r.threads == 1 ? "" : "s");
+    predict_table.add_row({label, std::to_string(r.shapes),
+                           Table::num(r.seconds, 3),
+                           Table::num(r.shapes_per_sec, 0),
+                           Table::num(r.allocations_per_shape, 1)});
+    json += "    {\"config\": \"" + label +
+            "\", \"shapes\": " + std::to_string(r.shapes) +
+            ", \"seconds\": " + Table::num(r.seconds, 4) +
+            ", \"shapes_per_sec\": " + Table::num(r.shapes_per_sec, 0) +
+            ", \"allocations_per_shape\": " +
+            Table::num(r.allocations_per_shape, 1) + "}" +
+            (i + 1 < predict_threads.size() ? "," : "") + "\n";
+  }
+  predict_table.print();
   json += "  ]\n}\n";
 
   FILE* out = std::fopen("BENCH_hotpath.json", "w");
