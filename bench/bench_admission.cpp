@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "approx/mlp_fitter.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
 #include "serve/request.hpp"
@@ -216,42 +217,31 @@ int main(int argc, char** argv) {
   std::puts("");
   checks.print();
 
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") +
-                     ",\n  \"requests\": " + std::to_string(stream.size()) +
-                     ",\n  \"kv_max\": " + std::to_string(kv_max) +
-                     ",\n  \"sim_elements_cap\": " + std::to_string(cap) +
-                     ",\n  \"distinct_shapes\": " +
-                     std::to_string(audit.distinct_shapes) +
-                     ",\n  \"pricing_classes\": " +
-                     std::to_string(audit.classes) + ",\n  \"modes\": [\n";
   const auto mode_json = [](const char* name, const ModeResult& r) {
-    return std::string("    {\"mode\": \"") + name +
-           "\", \"seconds\": " + Table::num(r.seconds, 4) +
-           ", \"requests_per_sec\": " + Table::num(r.requests_per_sec, 1) +
-           ", \"anchor_runs\": " +
-           std::to_string(r.report.surrogate.anchors_priced) + "}";
+    return nova::json::Object()
+        .string("mode", name)
+        .number("seconds", r.seconds, 4)
+        .number("requests_per_sec", r.requests_per_sec, 1)
+        .integer("anchor_runs", r.report.surrogate.anchors_priced);
   };
-  json += mode_json("exact", exact) + ",\n";
-  json += mode_json("surrogate", surrogate) + ",\n";
-  json += mode_json("hybrid", hybrid) + "\n  ],\n";
-  json += "  \"surrogate_speedup\": " + Table::num(speedup, 2) + ",\n";
-  json += "  \"max_rel_error\": " + Table::num(max_rel_error, 6) + ",\n";
-  json += "  \"hybrid_max_rel_error\": " +
-          Table::num(audit.max_rel_error, 6) + ",\n";
-  json += std::string("  \"hybrid_within_tolerance\": ") +
-          (audit.within_tolerance ? "true" : "false") + ",\n";
-  json += std::string("  \"hybrid_thread_identical\": ") +
-          (thread_identical ? "true" : "false") + "\n}\n";
-
-  FILE* out = std::fopen("BENCH_admission.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_admission.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_admission.json");
-  }
+  nova::json::Document doc;
+  doc.boolean("smoke", smoke);
+  doc.integer("requests", stream.size());
+  doc.integer("kv_max", kv_max);
+  doc.integer("sim_elements_cap", cap);
+  doc.integer("distinct_shapes", audit.distinct_shapes);
+  doc.integer("pricing_classes", audit.classes);
+  doc.rows("modes", {mode_json("exact", exact),
+                     mode_json("surrogate", surrogate),
+                     mode_json("hybrid", hybrid)});
+  doc.number("surrogate_speedup", speedup, 2);
+  doc.number("max_rel_error", max_rel_error, 6);
+  doc.number("hybrid_max_rel_error", audit.max_rel_error, 6);
+  doc.boolean("hybrid_within_tolerance", audit.within_tolerance);
+  doc.boolean("hybrid_thread_identical", thread_identical);
+  std::puts(doc.write("BENCH_admission.json")
+                ? "\nwrote BENCH_admission.json"
+                : "\nwarning: could not write BENCH_admission.json");
 
   bool ok = true;
   if (max_rel_error > 0.02) {

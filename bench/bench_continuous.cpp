@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
 #include "serve/request.hpp"
@@ -127,29 +128,23 @@ struct Cell {
   nova::serve::ServeReport report;
 };
 
-std::string cell_json(const Cell& cell) {
+nova::json::Object cell_json(const Cell& cell) {
   const auto& r = cell.report;
   using nova::serve::RequestStatus;
-  return std::string("    {\"mode\": \"") + cell.mode +
-         "\", \"rate_rps\": " + Table::num(cell.rate_rps, 1) +
-         ", \"goodput_rps\": " + Table::num(r.goodput_rps, 1) +
-         ", \"throughput_rps\": " + Table::num(r.throughput_rps, 1) +
-         ", \"latency_p50_us\": " +
-         Table::num(r.latency_percentile_us(50.0), 3) +
-         ", \"latency_p99_us\": " +
-         Table::num(r.latency_percentile_us(99.0), 3) +
-         ", \"mean_ttft_us\": " + Table::num(mean_ttft_us(r), 3) +
-         ", \"ok\": " + std::to_string(r.status_count(RequestStatus::kOk)) +
-         ", \"retried\": " +
-         std::to_string(r.status_count(RequestStatus::kRetried)) +
-         ", \"shed\": " +
-         std::to_string(r.status_count(RequestStatus::kShed)) +
-         ", \"deadline_miss\": " +
-         std::to_string(r.status_count(RequestStatus::kDeadlineMiss)) +
-         ", \"failed\": " +
-         std::to_string(r.status_count(RequestStatus::kFailed)) +
-         ", \"steps\": " + std::to_string(r.stats.counter("serve.steps")) +
-         "}";
+  return nova::json::Object()
+      .string("mode", cell.mode)
+      .number("rate_rps", cell.rate_rps, 1)
+      .number("goodput_rps", r.goodput_rps, 1)
+      .number("throughput_rps", r.throughput_rps, 1)
+      .number("latency_p50_us", r.latency_percentile_us(50.0), 3)
+      .number("latency_p99_us", r.latency_percentile_us(99.0), 3)
+      .number("mean_ttft_us", mean_ttft_us(r), 3)
+      .integer("ok", r.status_count(RequestStatus::kOk))
+      .integer("retried", r.status_count(RequestStatus::kRetried))
+      .integer("shed", r.status_count(RequestStatus::kShed))
+      .integer("deadline_miss", r.status_count(RequestStatus::kDeadlineMiss))
+      .integer("failed", r.status_count(RequestStatus::kFailed))
+      .integer("steps", r.stats.counter("serve.steps"));
 }
 
 }  // namespace
@@ -234,31 +229,21 @@ int main(int argc, char** argv) {
   std::puts("");
   checks.print();
 
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") +
-                     ",\n  \"requests\": " + std::to_string(count) +
-                     ",\n  \"instances\": " + std::to_string(kInstances) +
-                     ",\n  \"chunk_tokens\": " + std::to_string(kChunkTokens) +
-                     ",\n  \"deadline_us\": " + Table::num(deadline_us, 1) +
-                     ",\n  \"grid\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    json += cell_json(cells[i]) + (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  json += "  ],\n";
-  json += "  \"p99_ratio_overload\": " + Table::num(p99_ratio, 3) + ",\n";
-  json += std::string("  \"goodput_no_worse\": ") +
-          (goodput_ok ? "true" : "false") + ",\n";
-  json += std::string("  \"thread_identical\": ") +
-          (thread_identical ? "true" : "false") + "\n}\n";
-
-  FILE* out = std::fopen("BENCH_continuous.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_continuous.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_continuous.json");
-  }
+  std::vector<nova::json::Object> grid;
+  for (const auto& cell : cells) grid.push_back(cell_json(cell));
+  nova::json::Document doc;
+  doc.boolean("smoke", smoke);
+  doc.integer("requests", count);
+  doc.integer("instances", kInstances);
+  doc.integer("chunk_tokens", kChunkTokens);
+  doc.number("deadline_us", deadline_us, 1);
+  doc.rows("grid", grid);
+  doc.number("p99_ratio_overload", p99_ratio, 3);
+  doc.boolean("goodput_no_worse", goodput_ok);
+  doc.boolean("thread_identical", thread_identical);
+  std::puts(doc.write("BENCH_continuous.json")
+                ? "\nwrote BENCH_continuous.json"
+                : "\nwarning: could not write BENCH_continuous.json");
 
   bool ok = true;
   if (!thread_identical) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/op_graph.hpp"
@@ -43,10 +44,7 @@ int main(int argc, char** argv) {
             : std::vector<std::int64_t>{128, 256, 512, 1024, 2048, 4096};
 
   bool all_reconciled = true;
-  std::string json =
-      std::string("{\n  \"smoke\": ") + (smoke ? "true" : "false") +
-      ",\n  \"decode\": [\n";
-  bool first_row = true;
+  std::vector<json::Object> rows;
 
   for (const auto host : hosts) {
     const auto accel = accel::make_accelerator(host);
@@ -82,33 +80,27 @@ int main(int argc, char** argv) {
                        Table::num(eval.overlap_win, 3),
                        reconciled ? "exact" : "MISMATCH"});
 
-        json += std::string(first_row ? "" : ",\n") + "    {\"host\": \"" +
-                accel.name + "\", \"benchmark\": \"" + config.name +
-                "\", \"kv_len\": " + std::to_string(kv) +
-                ", \"decode_ops\": " +
-                std::to_string(graph.total_approx_ops()) +
-                ", \"serial_cycles\": " +
-                std::to_string(eval.serial.span_cycles) +
-                ", \"overlapped_cycles\": " +
-                std::to_string(eval.overlapped.span_cycles) +
-                ", \"overlap_win\": " + Table::num(eval.overlap_win, 4) +
-                ", \"reconciled\": " + (reconciled ? "true" : "false") + "}";
-        first_row = false;
+        rows.push_back(json::Object()
+                           .string("host", accel.name)
+                           .string("benchmark", config.name)
+                           .integer("kv_len", kv)
+                           .integer("decode_ops", graph.total_approx_ops())
+                           .integer("serial_cycles", eval.serial.span_cycles)
+                           .integer("overlapped_cycles",
+                                    eval.overlapped.span_cycles)
+                           .number("overlap_win", eval.overlap_win, 4)
+                           .boolean("reconciled", reconciled));
       }
     }
     table.print();
     std::puts("");
   }
-  json += "\n  ]\n}\n";
-
-  FILE* out = std::fopen("BENCH_decode.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("wrote BENCH_decode.json");
-  } else {
-    std::puts("warning: could not write BENCH_decode.json");
-  }
+  json::Document doc;
+  doc.boolean("smoke", smoke);
+  doc.rows("decode", rows);
+  std::puts(doc.write("BENCH_decode.json")
+                ? "wrote BENCH_decode.json"
+                : "warning: could not write BENCH_decode.json");
 
   if (!all_reconciled) {
     std::puts("FAILED: a decode timeline diverged from the closed-form "

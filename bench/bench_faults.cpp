@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
 #include "serve/faults.hpp"
@@ -242,59 +243,40 @@ int main(int argc, char** argv) {
   std::puts("");
   checks.print();
 
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") +
-                     ",\n  \"requests\": " + std::to_string(count) +
-                     ",\n  \"instances\": " + std::to_string(kInstances) +
-                     ",\n  \"mttr_us\": " + Table::num(kMttrUs, 1) +
-                     ",\n  \"configs\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& cell = cells[i];
+  using nova::serve::RequestStatus;
+  std::vector<nova::json::Object> configs;
+  for (const auto& cell : cells) {
     const auto& r = cell.report;
-    json += std::string("    {\"config\": \"") + cell.config +
-            "\", \"downtime\": " + Table::num(cell.downtime, 2) +
-            ", \"rate_rps\": " + Table::num(cell.rate_rps, 1) +
-            ", \"goodput_rps\": " + Table::num(r.goodput_rps, 1) +
-            ", \"throughput_rps\": " + Table::num(r.throughput_rps, 1) +
-            ", \"ok\": " +
-            std::to_string(r.status_count(nova::serve::RequestStatus::kOk)) +
-            ", \"retried\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kRetried)) +
-            ", \"shed\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kShed)) +
-            ", \"deadline_miss\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kDeadlineMiss)) +
-            ", \"failed\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kFailed)) +
-            ", \"mean_availability\": " +
-            Table::num(mean_availability(r), 4) +
-            ", \"latency_p95_us\": " +
-            Table::num(r.latency_percentile_us(95.0), 3) + "}" +
-            (i + 1 < cells.size() ? ",\n" : "\n");
+    configs.push_back(
+        nova::json::Object()
+            .string("config", cell.config)
+            .number("downtime", cell.downtime, 2)
+            .number("rate_rps", cell.rate_rps, 1)
+            .number("goodput_rps", r.goodput_rps, 1)
+            .number("throughput_rps", r.throughput_rps, 1)
+            .integer("ok", r.status_count(RequestStatus::kOk))
+            .integer("retried", r.status_count(RequestStatus::kRetried))
+            .integer("shed", r.status_count(RequestStatus::kShed))
+            .integer("deadline_miss",
+                     r.status_count(RequestStatus::kDeadlineMiss))
+            .integer("failed", r.status_count(RequestStatus::kFailed))
+            .number("mean_availability", mean_availability(r), 4)
+            .number("latency_p95_us", r.latency_percentile_us(95.0), 3));
   }
-  json += "  ],\n";
-  json += std::string("  \"zero_fault_identical\": ") +
-          (zero_fault_identical ? "true" : "false") + ",\n";
-  json += std::string("  \"calm_plan_empty\": ") +
-          (calm_plan_empty ? "true" : "false") + ",\n";
-  json += "  \"goodput_ratio_10pct\": " + Table::num(goodput_ratio, 4) +
-          ",\n";
-  json += "  \"failed_10pct\": " + std::to_string(failed_10) + ",\n";
-  json += std::string("  \"thread_identical\": ") +
-          (thread_identical ? "true" : "false") + "\n}\n";
-
-  FILE* out = std::fopen("BENCH_faults.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_faults.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_faults.json");
-  }
+  nova::json::Document doc;
+  doc.boolean("smoke", smoke);
+  doc.integer("requests", count);
+  doc.integer("instances", kInstances);
+  doc.number("mttr_us", kMttrUs, 1);
+  doc.rows("configs", configs);
+  doc.boolean("zero_fault_identical", zero_fault_identical);
+  doc.boolean("calm_plan_empty", calm_plan_empty);
+  doc.number("goodput_ratio_10pct", goodput_ratio, 4);
+  doc.integer("failed_10pct", failed_10);
+  doc.boolean("thread_identical", thread_identical);
+  std::puts(doc.write("BENCH_faults.json")
+                ? "\nwrote BENCH_faults.json"
+                : "\nwarning: could not write BENCH_faults.json");
 
   bool ok = true;
   if (!zero_fault_identical) {

@@ -26,6 +26,7 @@
 
 #include "accel/accelerator.hpp"
 #include "analysis/verifier.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/fusion.hpp"
@@ -50,10 +51,7 @@ int main(int argc, char** argv) {
   bool all_verified = true;
   int improved_points = 0;
   int total_points = 0;
-  std::string json =
-      std::string("{\n  \"smoke\": ") + (smoke ? "true" : "false") +
-      ",\n  \"fusion\": [\n";
-  bool first_row = true;
+  std::vector<json::Object> rows;
 
   for (const auto host : hosts) {
     const auto accel = accel::make_accelerator(host);
@@ -109,19 +107,19 @@ int main(int argc, char** argv) {
                        Table::num(tuning.speedup(), 4),
                        verified ? "ok" : "FAIL"});
 
-        json += std::string(first_row ? "" : ",\n") + "    {\"host\": \"" +
-                accel.name + "\", \"benchmark\": \"" + config.name +
-                "\", \"phase\": \"" + phase +
-                "\", \"seq_len\": " + std::to_string(seq) +
-                ", \"kv_len\": " + std::to_string(kv) +
-                ", \"baseline_cycles\": " +
-                std::to_string(tuning.baseline_span) +
-                ", \"best_cycles\": " + std::to_string(tuning.best_span) +
-                ", \"best_mask\": \"" +
-                pipeline::to_string_fusion_set(tuning.best) +
-                "\", \"speedup\": " + Table::num(tuning.speedup(), 6) +
-                ", \"verified\": " + (verified ? "true" : "false") + "}";
-        first_row = false;
+        rows.push_back(
+            json::Object()
+                .string("host", accel.name)
+                .string("benchmark", config.name)
+                .string("phase", phase)
+                .integer("seq_len", seq)
+                .integer("kv_len", kv)
+                .integer("baseline_cycles", tuning.baseline_span)
+                .integer("best_cycles", tuning.best_span)
+                .string("best_mask",
+                        pipeline::to_string_fusion_set(tuning.best))
+                .number("speedup", tuning.speedup(), 6)
+                .boolean("verified", verified));
       };
       bench_point("prefill", pipeline::build_graph(config));
       bench_point("decode", pipeline::build_decode_graph(config, kv));
@@ -129,18 +127,14 @@ int main(int argc, char** argv) {
     table.print();
     std::puts("");
   }
-  json += "\n  ],\n  \"improved_points\": " +
-          std::to_string(improved_points) +
-          ",\n  \"total_points\": " + std::to_string(total_points) + "\n}\n";
-
-  FILE* out = std::fopen("BENCH_fusion.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("wrote BENCH_fusion.json");
-  } else {
-    std::puts("warning: could not write BENCH_fusion.json");
-  }
+  json::Document doc;
+  doc.boolean("smoke", smoke);
+  doc.rows("fusion", rows);
+  doc.integer("improved_points", improved_points);
+  doc.integer("total_points", total_points);
+  std::puts(doc.write("BENCH_fusion.json")
+                ? "wrote BENCH_fusion.json"
+                : "warning: could not write BENCH_fusion.json");
 
   std::printf("tuner improved %d of %d host x benchmark x phase points\n",
               improved_points, total_points);

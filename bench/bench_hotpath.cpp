@@ -25,6 +25,7 @@
 
 #include "alloc_counter.hpp"
 #include "approx/mlp_fitter.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
@@ -278,23 +279,25 @@ int main(int argc, char** argv) {
   Table table("SimSession end-to-end throughput (higher is better)");
   table.set_header({"deployment", "elements", "seconds", "Melem/s",
                     "accel cycles"});
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") + ",\n  \"sim_session\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto r = run_session_case(cases[i], elements_per_router);
-    table.add_row({cases[i].label, std::to_string(r.elements),
+  nova::json::Document doc;
+  doc.boolean("smoke", smoke);
+  std::vector<nova::json::Object> session_rows;
+  for (const auto& c : cases) {
+    const auto r = run_session_case(c, elements_per_router);
+    table.add_row({c.label, std::to_string(r.elements),
                    Table::num(r.seconds, 3),
                    Table::num(r.elements_per_sec / 1e6, 2),
                    std::to_string(r.accel_cycles)});
-    json += "    {\"config\": \"" + cases[i].label +
-            "\", \"breakpoints\": " + std::to_string(cases[i].breakpoints) +
-            ", \"elements\": " + std::to_string(r.elements) +
-            ", \"seconds\": " + Table::num(r.seconds, 4) +
-            ", \"elements_per_sec\": " + Table::num(r.elements_per_sec, 0) +
-            "}" + (i + 1 < cases.size() ? "," : "") + "\n";
+    session_rows.push_back(nova::json::Object()
+                               .string("config", c.label)
+                               .integer("breakpoints", c.breakpoints)
+                               .integer("elements", r.elements)
+                               .number("seconds", r.seconds, 4)
+                               .number("elements_per_sec",
+                                       r.elements_per_sec, 0));
   }
   table.print();
-  json += "  ],\n  \"serve_pricing\": [\n";
+  doc.rows("sim_session", session_rows);
 
   std::puts("\nServing-layer pricing throughput (BatchScheduler::run, "
             "1 worker thread)\n");
@@ -308,13 +311,13 @@ int main(int argc, char** argv) {
                        Table::num(row.seconds, 3),
                        Table::num(row.requests_per_sec, 1)});
   serve_table.print();
-  json += "    {\"requests\": " + std::to_string(row.requests) +
-          ", \"distinct_shapes\": " + std::to_string(row.distinct_shapes) +
-          ", \"sim_elements_cap\": " + std::to_string(cap) +
-          ", \"seconds\": " + Table::num(row.seconds, 4) +
-          ", \"requests_per_sec\": " + Table::num(row.requests_per_sec, 1) +
-          "}\n";
-  json += "  ],\n  \"serve_dispatch\": [\n";
+  doc.rows("serve_pricing",
+           {nova::json::Object()
+                .integer("requests", row.requests)
+                .integer("distinct_shapes", row.distinct_shapes)
+                .integer("sim_elements_cap", cap)
+                .number("seconds", row.seconds, 4)
+                .number("requests_per_sec", row.requests_per_sec, 1)});
 
   std::puts("\nWhole-request serving throughput (BatchScheduler::run, "
             "fault-free, 1 worker thread)\n");
@@ -329,49 +332,41 @@ int main(int argc, char** argv) {
                           Table::num(dispatch.requests_per_sec, 0),
                           std::to_string(dispatch.allocations)});
   dispatch_table.print();
-  json += "    {\"mode\": \"whole\", \"requests\": " +
-          std::to_string(dispatch.requests) +
-          ", \"distinct_shapes\": " +
-          std::to_string(dispatch.distinct_shapes) +
-          ", \"seconds\": " + Table::num(dispatch.seconds, 4) +
-          ", \"requests_per_sec\": " +
-          Table::num(dispatch.requests_per_sec, 0) +
-          ", \"allocations\": " + std::to_string(dispatch.allocations) +
-          "}\n";
-  json += "  ],\n  \"surrogate_predict\": [\n";
+  doc.rows("serve_dispatch",
+           {nova::json::Object()
+                .string("mode", "whole")
+                .integer("requests", dispatch.requests)
+                .integer("distinct_shapes", dispatch.distinct_shapes)
+                .number("seconds", dispatch.seconds, 4)
+                .number("requests_per_sec", dispatch.requests_per_sec, 0)
+                .integer("allocations", dispatch.allocations)});
 
   std::puts("\nSurrogate prediction throughput (hybrid pricing, fusion auto, "
             "distinct bert-mini decode shapes)\n");
   Table predict_table("Surrogate predict throughput");
   predict_table.set_header(
       {"threads", "shapes", "seconds", "shapes/s", "allocations/shape"});
-  const std::vector<int> predict_threads = {1, 2};
-  for (std::size_t i = 0; i < predict_threads.size(); ++i) {
-    const auto r = run_predict_case(smoke ? 512 : 4096, predict_threads[i]);
+  std::vector<nova::json::Object> predict_rows;
+  for (const int threads : {1, 2}) {
+    const auto r = run_predict_case(smoke ? 512 : 4096, threads);
     const std::string label = std::to_string(r.threads) + " thread" +
                               (r.threads == 1 ? "" : "s");
     predict_table.add_row({label, std::to_string(r.shapes),
                            Table::num(r.seconds, 3),
                            Table::num(r.shapes_per_sec, 0),
                            Table::num(r.allocations_per_shape, 1)});
-    json += "    {\"config\": \"" + label +
-            "\", \"shapes\": " + std::to_string(r.shapes) +
-            ", \"seconds\": " + Table::num(r.seconds, 4) +
-            ", \"shapes_per_sec\": " + Table::num(r.shapes_per_sec, 0) +
-            ", \"allocations_per_shape\": " +
-            Table::num(r.allocations_per_shape, 1) + "}" +
-            (i + 1 < predict_threads.size() ? "," : "") + "\n";
+    predict_rows.push_back(
+        nova::json::Object()
+            .string("config", label)
+            .integer("shapes", r.shapes)
+            .number("seconds", r.seconds, 4)
+            .number("shapes_per_sec", r.shapes_per_sec, 0)
+            .number("allocations_per_shape", r.allocations_per_shape, 1));
   }
   predict_table.print();
-  json += "  ]\n}\n";
-
-  FILE* out = std::fopen("BENCH_hotpath.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_hotpath.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_hotpath.json");
-  }
+  doc.rows("surrogate_predict", predict_rows);
+  std::puts(doc.write("BENCH_hotpath.json")
+                ? "\nwrote BENCH_hotpath.json"
+                : "\nwarning: could not write BENCH_hotpath.json");
   return 0;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/op_graph.hpp"
@@ -38,10 +39,7 @@ int main(int argc, char** argv) {
   for (const auto& entry : accel::host_catalog()) hosts.push_back(entry.kind);
 
   bool all_reconciled = true;
-  std::string json =
-      std::string("{\n  \"smoke\": ") + (smoke ? "true" : "false") +
-      ",\n  \"pipeline\": [\n";
-  bool first_row = true;
+  std::vector<json::Object> rows;
 
   for (const auto host : hosts) {
     const auto accel = accel::make_accelerator(host);
@@ -79,30 +77,25 @@ int main(int argc, char** argv) {
                      Table::num(eval.overlap_win, 3),
                      reconciled ? "exact" : "MISMATCH"});
 
-      json += std::string(first_row ? "" : ",\n") + "    {\"host\": \"" +
-              accel.name + "\", \"benchmark\": \"" + config.name +
-              "\", \"seq_len\": " + std::to_string(seq) +
-              ", \"serial_cycles\": " +
-              std::to_string(eval.serial.span_cycles) +
-              ", \"overlapped_cycles\": " +
-              std::to_string(eval.overlapped.span_cycles) +
-              ", \"overlap_win\": " + Table::num(eval.overlap_win, 4) +
-              ", \"reconciled\": " + (reconciled ? "true" : "false") + "}";
-      first_row = false;
+      rows.push_back(json::Object()
+                         .string("host", accel.name)
+                         .string("benchmark", config.name)
+                         .integer("seq_len", seq)
+                         .integer("serial_cycles", eval.serial.span_cycles)
+                         .integer("overlapped_cycles",
+                                  eval.overlapped.span_cycles)
+                         .number("overlap_win", eval.overlap_win, 4)
+                         .boolean("reconciled", reconciled));
     }
     table.print();
     std::puts("");
   }
-  json += "\n  ]\n}\n";
-
-  FILE* out = std::fopen("BENCH_pipeline.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("wrote BENCH_pipeline.json");
-  } else {
-    std::puts("warning: could not write BENCH_pipeline.json");
-  }
+  json::Document doc;
+  doc.boolean("smoke", smoke);
+  doc.rows("pipeline", rows);
+  std::puts(doc.write("BENCH_pipeline.json")
+                ? "wrote BENCH_pipeline.json"
+                : "warning: could not write BENCH_pipeline.json");
 
   if (!all_reconciled) {
     std::puts("FAILED: a serial timeline diverged from the closed-form "

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "hwmodel/timing.hpp"
 #include "sim/engine.hpp"
@@ -156,48 +157,46 @@ int main(int argc, char** argv) {
   std::puts("Section V.A scalability reproduction: clockless-repeater line "
             "timing (1 mm router spacing)\n");
 
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") + ",\n  \"hops_vs_clock\": [\n";
+  json::Document doc;
+  doc.boolean("smoke", smoke);
+  std::vector<json::Object> hops_rows;
   Table hops("Max single-cycle hops vs clock");
   hops.set_header({"clock (MHz)", "hops/cycle", "10-router line single "
                    "cycle?"});
   const std::vector<double> clocks = {240.0, 480.0, 700.0, 1000.0, 1400.0,
                                       1500.0, 2000.0, 2800.0};
-  for (std::size_t i = 0; i < clocks.size(); ++i) {
-    const double mhz = clocks[i];
+  for (const double mhz : clocks) {
     const int reach = max_hops_per_cycle(tech22(), mhz, 1.0);
     const LineNocLayout ten{10, 1.0};
     const bool single = broadcast_latency_cycles(tech22(), mhz, ten) == 1;
     hops.add_row({Table::num(mhz, 0), std::to_string(reach),
                   single ? "yes" : "no"});
-    json += "    {\"clock_mhz\": " + Table::num(mhz, 0) +
-            ", \"hops_per_cycle\": " + std::to_string(reach) +
-            ", \"ten_router_single_cycle\": " +
-            (single ? "true" : "false") + "}" +
-            (i + 1 < clocks.size() ? "," : "") + "\n";
+    hops_rows.push_back(json::Object()
+                            .number("clock_mhz", mhz, 0)
+                            .integer("hops_per_cycle", reach)
+                            .boolean("ten_router_single_cycle", single));
   }
   hops.print();
-  json += "  ],\n  \"broadcast_vs_routers\": [\n";
+  doc.rows("hops_vs_clock", hops_rows);
 
   std::puts("");
   Table lines("Broadcast latency vs line length @1.5 GHz");
   lines.set_header({"routers", "latency (cycles)",
                     "max single-cycle clock (MHz)"});
-  const std::vector<int> router_counts = {2, 4, 8, 10, 11, 16, 20, 32};
-  for (std::size_t i = 0; i < router_counts.size(); ++i) {
-    const int routers = router_counts[i];
+  std::vector<json::Object> line_rows;
+  for (const int routers : {2, 4, 8, 10, 11, 16, 20, 32}) {
     const LineNocLayout layout{routers, 1.0};
     const int latency = broadcast_latency_cycles(tech22(), 1500.0, layout);
     const double max_clock = max_single_cycle_freq_mhz(tech22(), layout);
     lines.add_row({std::to_string(routers), std::to_string(latency),
                    Table::num(max_clock, 0)});
-    json += "    {\"routers\": " + std::to_string(routers) +
-            ", \"latency_cycles\": " + std::to_string(latency) +
-            ", \"max_single_cycle_mhz\": " + Table::num(max_clock, 0) + "}" +
-            (i + 1 < router_counts.size() ? "," : "") + "\n";
+    line_rows.push_back(json::Object()
+                            .integer("routers", routers)
+                            .integer("latency_cycles", latency)
+                            .number("max_single_cycle_mhz", max_clock, 0));
   }
   lines.print();
-  json += "  ],\n  \"engine\": [\n";
+  doc.rows("broadcast_vs_routers", line_rows);
 
   std::printf("\nKey anchor: at 1500 MHz the model reaches %d hops per "
               "cycle, so a 10-router line (10 segments including "
@@ -222,31 +221,23 @@ int main(int argc, char** argv) {
       {"0.50", 0.5},
       {"0.05 (idle-heavy)", 0.05},
   };
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto r = bench_engines(64, engine_base_cycles,
-                                 cases[i].busy_fraction);
-    engine_table.add_row({cases[i].label, Table::num(r.dense_mticks_per_sec, 1),
+  std::vector<json::Object> engine_rows;
+  for (const auto& c : cases) {
+    const auto r = bench_engines(64, engine_base_cycles, c.busy_fraction);
+    engine_table.add_row({c.label, Table::num(r.dense_mticks_per_sec, 1),
                           Table::num(r.bucketed_mticks_per_sec, 1),
                           Table::num(r.speedup, 2)});
-    json += std::string("    {\"busy_fraction\": ") +
-            Table::num(cases[i].busy_fraction, 2) +
-            ", \"dense_mticks_per_sec\": " +
-            Table::num(r.dense_mticks_per_sec, 1) +
-            ", \"bucketed_mticks_per_sec\": " +
-            Table::num(r.bucketed_mticks_per_sec, 1) +
-            ", \"speedup\": " + Table::num(r.speedup, 2) + "}" +
-            (i + 1 < cases.size() ? "," : "") + "\n";
+    engine_rows.push_back(
+        json::Object()
+            .number("busy_fraction", c.busy_fraction, 2)
+            .number("dense_mticks_per_sec", r.dense_mticks_per_sec, 1)
+            .number("bucketed_mticks_per_sec", r.bucketed_mticks_per_sec, 1)
+            .number("speedup", r.speedup, 2));
   }
   engine_table.print();
-  json += "  ]\n}\n";
-
-  FILE* out = std::fopen("BENCH_scalability.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_scalability.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_scalability.json");
-  }
+  doc.rows("engine", engine_rows);
+  std::puts(doc.write("BENCH_scalability.json")
+                ? "\nwrote BENCH_scalability.json"
+                : "\nwarning: could not write BENCH_scalability.json");
   return 0;
 }

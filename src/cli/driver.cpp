@@ -620,11 +620,6 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
   }
   summary.add_row(
       {"retries", std::to_string(report.stats.counter("serve.retries"))});
-  const auto* backoff = report.stats.find_histogram("serve.backoff_us");
-  if (backoff != nullptr && backoff->count() > 0) {
-    summary.add_row({"mean backoff (us)", Table::num(backoff->mean(), 3)});
-    summary.add_row({"max backoff (us)", Table::num(backoff->max(), 3)});
-  }
   summary.add_row({"mean service (us)",
                    Table::num(report.stats.mean("serve.service_us"), 3)});
   summary.add_row({"mean queue wait (us)",

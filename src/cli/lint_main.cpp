@@ -20,6 +20,7 @@
 
 #include "accel/accelerator.hpp"
 #include "analysis/verifier.hpp"
+#include "common/json.hpp"
 #include "pipeline/op_graph.hpp"
 #include "workload/bert.hpp"
 
@@ -32,46 +33,13 @@ struct LintTotals {
   int warnings = 0;
 };
 
-/// JSON string escaping for the --json emission: labels and messages carry
-/// arbitrary builder text (quotes in benchmark names would otherwise break
-/// the document). Control characters degrade to \u00XX.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// One sweep unit: verify `graph` on `accel` and append the outcome to the
 /// console, the optional report body, and the optional JSON rows.
 void lint_graph(const nova::pipeline::OpGraph& graph,
                 const nova::accel::AcceleratorModel& accel,
                 const std::string& what, LintTotals& totals,
-                std::string& report_body, std::string& json_rows) {
+                std::string& report_body,
+                std::vector<nova::json::Object>& json_rows) {
   const nova::accel::ApproximatorChoice choice{nova::hw::UnitKind::kNovaNoc,
                                                16};
   const auto report = nova::analysis::reconcile_cycles(graph, accel, choice);
@@ -91,24 +59,23 @@ void lint_graph(const nova::pipeline::OpGraph& graph,
   // Every sweep unit gets a JSON row -- clean graphs included, so tooling
   // can tell "not linted" from "linted clean". Field names are part of the
   // CLI contract; keep them in lockstep with the README.
-  if (!json_rows.empty()) json_rows += ",\n";
-  json_rows += "    {\"graph\": \"" + json_escape(what) + "\", \"ok\": " +
-               (report.ok() ? "true" : "false") + ", \"diagnostics\": [";
-  bool first = true;
+  std::vector<nova::json::Object> diagnostics;
   for (const auto& diag : report.diagnostics) {
-    if (!first) json_rows += ", ";
-    first = false;
-    json_rows += std::string("{\"severity\": \"") +
-                 nova::analysis::to_string(diag.severity) +
-                 "\", \"check\": \"" + nova::analysis::to_string(diag.check) +
-                 "\", \"node\": " + std::to_string(diag.node) +
-                 ", \"kind\": \"" +
-                 (diag.node >= 0 ? nova::pipeline::to_string(diag.node_kind)
-                                 : "") +
-                 "\", \"label\": \"" + json_escape(diag.node_label) +
-                 "\", \"message\": \"" + json_escape(diag.message) + "\"}";
+    diagnostics.push_back(
+        nova::json::Object()
+            .string("severity", nova::analysis::to_string(diag.severity))
+            .string("check", nova::analysis::to_string(diag.check))
+            .integer("node", diag.node)
+            .string("kind", diag.node >= 0
+                                ? nova::pipeline::to_string(diag.node_kind)
+                                : "")
+            .string("label", diag.node_label)
+            .string("message", diag.message));
   }
-  json_rows += "]}";
+  json_rows.push_back(nova::json::Object()
+                          .string("graph", what)
+                          .boolean("ok", report.ok())
+                          .array("diagnostics", diagnostics));
 }
 
 }  // namespace
@@ -163,7 +130,7 @@ int main(int argc, char** argv) {
   const std::vector<std::int64_t> lengths = {1, 128, 1024};
   LintTotals totals;
   std::string body;
-  std::string json_rows;
+  std::vector<nova::json::Object> json_rows;
   for (const auto& host : nova::accel::host_catalog()) {
     const auto accel = nova::accel::make_accelerator(host.kind);
     for (const std::int64_t len : lengths) {
@@ -206,19 +173,19 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
+    nova::json::Document doc;
+    doc.string("tool", "nova_lint");
+    doc.rows("graphs", json_rows);
+    doc.object("summary", nova::json::Object()
+                              .integer("graphs", totals.graphs)
+                              .integer("clean", totals.clean)
+                              .integer("errors", totals.errors)
+                              .integer("warnings", totals.warnings));
+    if (!doc.write(json_path)) {
       std::fprintf(stderr, "nova_lint: cannot write JSON to '%s'\n",
                    json_path.c_str());
       return 2;
     }
-    std::fprintf(out,
-                 "{\n  \"tool\": \"nova_lint\",\n  \"graphs\": [\n%s\n  ],\n"
-                 "  \"summary\": {\"graphs\": %d, \"clean\": %d, "
-                 "\"errors\": %d, \"warnings\": %d}\n}\n",
-                 json_rows.c_str(), totals.graphs, totals.clean, totals.errors,
-                 totals.warnings);
-    std::fclose(out);
   }
   return totals.errors == 0 ? 0 : 1;
 }

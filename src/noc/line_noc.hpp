@@ -15,8 +15,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <memory>
 
 #include "noc/flit.hpp"
 #include "sim/engine.hpp"
@@ -32,11 +30,7 @@ struct LineNocConfig {
 };
 
 /// Receiver of router observations: the capture datapath attached to the
-/// line. One virtual call per (router, flit) observation -- the hot-path
-/// replacement for the former per-observation std::function hop (a
-/// std::function adds an indirect call through a type-erased thunk plus a
-/// possible heap-allocated closure; a sink is a single indirect call on a
-/// stable vtable).
+/// line. One virtual call per (router, flit) observation.
 class CaptureSink {
  public:
   virtual ~CaptureSink() = default;
@@ -54,19 +48,9 @@ class LineNoc final : public sim::Ticked {
   LineNoc(const LineNocConfig& config, sim::StatRegistry* stats);
 
   /// Attaches the capture datapath (non-owning; may be null to detach).
-  /// The hot path for simulation sessions. Replaces (and releases) any
-  /// observer adapter installed via set_observer.
-  void set_sink(CaptureSink* sink) {
-    observer_adapter_.reset();
-    sink_ = sink;
-  }
-
-  /// Convenience observer for tests and examples: wraps `observer` in an
-  /// owned adapter sink. Cold-path setup only; the per-observation cost is
-  /// the wrapped std::function call.
-  using Observer =
-      std::function<void(int router, const Flit& flit, sim::Cycle noc_now)>;
-  void set_observer(Observer observer);
+  /// The only way to observe the line: simulation sessions attach their
+  /// capture units here, and tests attach a recording sink.
+  void set_sink(CaptureSink* sink) { sink_ = sink; }
 
   /// Queues a flit for injection; at most one flit enters the line per NoC
   /// cycle (the line is a single physical channel).
@@ -91,19 +75,6 @@ class LineNoc final : public sim::Ticked {
     int frontier = 0;
   };
 
-  /// Adapter behind set_observer.
-  class FunctionSink final : public CaptureSink {
-   public:
-    explicit FunctionSink(Observer observer) : observer_(std::move(observer)) {}
-    void on_observation(int router, const Flit& flit,
-                        sim::Cycle noc_now) override {
-      observer_(router, flit, noc_now);
-    }
-
-   private:
-    Observer observer_;
-  };
-
   /// Per-tick stat deltas, accumulated locally in tick() and flushed as one
   /// bump per counter instead of one per event.
   struct TickDeltas {
@@ -122,7 +93,6 @@ class LineNoc final : public sim::Ticked {
   sim::StatId id_register_latches_;
   sim::StatId id_flits_injected_;
   CaptureSink* sink_ = nullptr;  // non-owning
-  std::unique_ptr<FunctionSink> observer_adapter_;
   std::deque<Wavefront> in_flight_;
   std::deque<Flit> inject_queue_;
 };

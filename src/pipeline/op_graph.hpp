@@ -3,13 +3,13 @@
 //
 // The repo used to model an attention layer three disconnected ways -- flat
 // GEMM/non-linear shape lists (workload/bert), closed-form fabric cycle
-// counts (accel/accelerator), and an isolated cycle-accurate softmax
-// (core/softmax_engine). `OpGraph` unifies them: one encoder layer becomes a
-// small DAG of GEMM / softmax / GELU / layernorm-scale nodes with explicit
-// data dependencies, replicated `layer_repeat` times per inference. The
-// legacy flat views (`workload::model_workload`) are now thin flattenings of
-// this graph, and the `PipelineExecutor` (executor.hpp) walks it to produce
-// overlap-aware, per-node cycle/energy timelines.
+// counts (accel/accelerator), and isolated cycle-accurate non-linear
+// execution (core/sim_session). `OpGraph` unifies them: one encoder layer
+// becomes a small DAG of GEMM / softmax / GELU / layernorm-scale nodes with
+// explicit data dependencies, replicated `layer_repeat` times per
+// inference. The legacy flat views (`workload::model_workload`) are now thin
+// flattenings of this graph, and the `PipelineExecutor` (executor.hpp) walks
+// it to produce overlap-aware, per-node cycle/energy timelines.
 #pragma once
 
 #include <cstdint>

@@ -45,12 +45,6 @@ double Histogram::percentile(double p) const {
   return samples_[std::min(index, n - 1)];
 }
 
-void Histogram::clear() {
-  samples_.clear();
-  sorted_ = true;
-  sum_ = 0.0;
-}
-
 StatId StatRegistry::counter_id(const std::string& name) {
   const auto it = counter_index_.find(name);
   if (it != counter_index_.end()) return StatId(it->second);
@@ -60,10 +54,6 @@ StatId StatRegistry::counter_id(const std::string& name) {
   return StatId(index);
 }
 
-void StatRegistry::bump(const std::string& name, std::uint64_t delta) {
-  bump(counter_id(name), delta);
-}
-
 SampleId StatRegistry::sample_id(const std::string& name) {
   const auto it = accumulator_index_.find(name);
   if (it != accumulator_index_.end()) return SampleId(it->second);
@@ -71,10 +61,6 @@ SampleId StatRegistry::sample_id(const std::string& name) {
   accumulator_index_.emplace(name, index);
   accumulator_values_.emplace_back();
   return SampleId(index);
-}
-
-void StatRegistry::sample(const std::string& name, double value) {
-  sample(sample_id(name), value);
 }
 
 Histogram& StatRegistry::histogram(const std::string& name) {
@@ -111,20 +97,11 @@ double StatRegistry::mean(const std::string& name) const {
   return acc.sum / static_cast<double>(acc.n);
 }
 
-void StatRegistry::clear() {
-  // Issued StatIds and SampleIds must survive a clear, so the intern
-  // tables stay and only the values reset.
-  std::fill(counter_values_.begin(), counter_values_.end(), 0);
-  std::fill(accumulator_values_.begin(), accumulator_values_.end(), Acc{});
-  histograms_.clear();
-}
-
 Table StatRegistry::to_table(const std::string& title) const {
   Table t(title);
   t.set_header({"stat", "value", "samples"});
   for (const auto& [name, index] : counter_index_) {
-    // Interning alone (counter_id with no bump) adds no row; the rendered
-    // table depends only on what was counted, not on which face counted it.
+    // Interning alone (counter_id with no bump) adds no row.
     if (counter_values_[index] == 0) continue;
     t.add_row({name, std::to_string(counter_values_[index]), "-"});
   }

@@ -41,8 +41,6 @@ class Histogram {
   /// empty-histogram contract).
   [[nodiscard]] double percentile(double p) const;
 
-  void clear();
-
  private:
   /// Kept sorted lazily: percentile() sorts on demand and record() marks
   /// the order dirty.
@@ -54,8 +52,7 @@ class Histogram {
 /// Pre-resolved handle to a StatRegistry counter: a dense index interned
 /// once on a cold path (typically a constructor), then bumped with a single
 /// vector add on hot paths -- no string hashing or map walk per event.
-/// Valid only for the registry that issued it; registry.clear() zeroes the
-/// counter but keeps the handle valid.
+/// Valid only for the registry that issued it.
 class StatId {
  public:
   StatId() = default;
@@ -83,17 +80,14 @@ class SampleId {
 };
 
 /// A registry of named counters (monotonic), accumulators (sum + count,
-/// for means), and histograms (distributions with percentiles). Lookup by
-/// name creates on first use so instrumentation sites stay one-liners.
+/// for means), and histograms (distributions with percentiles). Interning
+/// and histogram() create a name on first use.
 ///
-/// Counters and accumulators each have two faces over one dense store:
-///   * the string API (bump/sample by name) for cold paths and reporting,
-///   * the interned-ID API (counter_id/sample_id once, then bump(StatId) /
-///     sample(SampleId)) for hot loops -- the name resolves to an index
-///     into a dense value vector, so an event is one add with no string
-///     construction or map walk.
-/// Both faces read and write the same values; mixing them on one name is
-/// fine and totals agree exactly.
+/// Counters and accumulators are written through interned ids only:
+/// counter_id/sample_id resolve a name once to an index into a dense value
+/// vector, then bump(StatId) / sample(SampleId) is one add with no string
+/// construction or map walk. Reads go by id or, on cold reporting paths,
+/// by name.
 class StatRegistry {
  public:
   /// Interns `name` and returns its dense handle; idempotent (the same name
@@ -113,10 +107,6 @@ class StatRegistry {
     return counter_values_[id.index_];
   }
 
-  /// Increments counter `name` by `delta` (string face; interns on first
-  /// use).
-  void bump(const std::string& name, std::uint64_t delta = 1);
-
   /// Interns accumulator `name` and returns its dense handle; idempotent.
   /// An accumulator that was interned but never sampled adds no row.
   [[nodiscard]] SampleId sample_id(const std::string& name);
@@ -129,10 +119,6 @@ class StatRegistry {
     acc.n += 1;
   }
 
-  /// Adds a sample to accumulator `name` (string face; interns on first
-  /// use).
-  void sample(const std::string& name, double value);
-
   /// Returns histogram `name`, creating it on first use.
   Histogram& histogram(const std::string& name);
   /// Read-only lookup; null when no such histogram was recorded.
@@ -144,14 +130,9 @@ class StatRegistry {
   [[nodiscard]] double sum(const std::string& name) const;
   [[nodiscard]] std::uint64_t sample_count(const std::string& name) const;
 
-  /// Zeroes every counter and accumulator (keeping issued StatIds and
-  /// SampleIds valid) and drops all histograms.
-  void clear();
-
   /// Renders all statistics as a two/three-column table; histograms expand
   /// into p50/p95/p99/max rows. Counters appear once nonzero, so a name
-  /// that was interned but never bumped adds no row -- the table is
-  /// identical whether a site used the string or the interned face.
+  /// that was interned but never bumped adds no row.
   [[nodiscard]] Table to_table(const std::string& title = "statistics") const;
 
  private:

@@ -1,13 +1,17 @@
 // Unit tests for the common substrate: fixed-point arithmetic, RNG
-// determinism, and table rendering.
+// determinism, table rendering, and the JSON writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "common/fixed_point.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -232,6 +236,76 @@ TEST(Table, CsvHasOneLinePerRowPlusHeader) {
 TEST(Table, NumFormatsWithRequestedPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json::escape("a\"b\\c\nd\te\x01" "f\x1f"),
+            "a\\\"b\\\\c\\nd\\te\\u0001f\\u001f");
+  EXPECT_EQ(json::escape("plain text"), "plain text");
+  // Keys and string values both go through the escaping.
+  EXPECT_EQ(json::Object().string("k\"", "v\n").str(),
+            "{\"k\\\"\": \"v\\n\"}");
+}
+
+TEST(Json, EmptyInlineArrayRendersAsBrackets) {
+  EXPECT_EQ(json::Object().string("graph", "g").array("diagnostics", {}).str(),
+            "{\"graph\": \"g\", \"diagnostics\": []}");
+}
+
+TEST(Json, RowWithNestedInlineArray) {
+  const auto row =
+      json::Object()
+          .string("graph", "g")
+          .boolean("ok", false)
+          .array("diagnostics",
+                 {json::Object().string("check", "a").integer("node", -1),
+                  json::Object().string("check", "b").integer("node", 3)});
+  EXPECT_EQ(row.str(),
+            "{\"graph\": \"g\", \"ok\": false, \"diagnostics\": "
+            "[{\"check\": \"a\", \"node\": -1}, "
+            "{\"check\": \"b\", \"node\": 3}]}");
+}
+
+TEST(Json, NumberRendersExactlyAsTableNum) {
+  for (const double v : {0.0, -0.0, 1.0 / 3.0, 2.5, 1234567.891, -7.125}) {
+    for (const int precision : {0, 1, 3, 6}) {
+      EXPECT_EQ(json::Object().number("x", v, precision).str(),
+                "{\"x\": " + Table::num(v, precision) + "}");
+    }
+  }
+}
+
+TEST(Json, DocumentPutsOneMemberAndOneRowPerLine) {
+  json::Document doc;
+  doc.boolean("smoke", true);
+  doc.rows("series", {json::Object().integer("n", 1),
+                      json::Object().integer("n", std::uint64_t{2})});
+  doc.rows("empty", {});
+  doc.object("summary", json::Object().integer("graphs", 2));
+  EXPECT_EQ(doc.str(),
+            "{\n"
+            "  \"smoke\": true,\n"
+            "  \"series\": [\n"
+            "    {\"n\": 1},\n"
+            "    {\"n\": 2}\n"
+            "  ],\n"
+            "  \"empty\": [],\n"
+            "  \"summary\": {\"graphs\": 2}\n"
+            "}\n");
+}
+
+TEST(Json, WriteReportsSuccessAndFailure) {
+  json::Document doc;
+  doc.string("tool", "test");
+  const std::string path = ::testing::TempDir() + "nova_json_writer.json";
+  ASSERT_TRUE(doc.write(path));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), doc.str());
+  std::remove(path.c_str());
+  EXPECT_FALSE(
+      doc.write(::testing::TempDir() + "nova-missing-dir/sub/out.json"));
 }
 
 }  // namespace

@@ -25,6 +25,20 @@ namespace {
 
 class NocProperties : public ::testing::TestWithParam<int> {};
 
+/// Records the cycle of each (flit tag, router) observation and counts
+/// repeated ones.
+class ScheduleSink final : public noc::CaptureSink {
+ public:
+  void on_observation(int router, const noc::Flit& flit,
+                      sim::Cycle now) override {
+    const auto key = std::make_pair(flit.tag(), router);
+    if (seen.contains(key)) ++duplicates;
+    seen[key] = now;
+  }
+  std::map<std::pair<int, int>, sim::Cycle> seen;
+  int duplicates = 0;
+};
+
 TEST_P(NocProperties, ObservationScheduleMatchesSmartFormula) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   for (int trial = 0; trial < 8; ++trial) {
@@ -34,15 +48,8 @@ TEST_P(NocProperties, ObservationScheduleMatchesSmartFormula) {
 
     sim::StatRegistry stats;
     noc::LineNoc line(noc::LineNocConfig{routers, hops}, &stats);
-    // observation[(flit tag, router)] -> cycle
-    std::map<std::pair<int, int>, sim::Cycle> seen;
-    int duplicates = 0;
-    line.set_observer([&](int router, const noc::Flit& flit,
-                          sim::Cycle now) {
-      const auto key = std::make_pair(flit.tag(), router);
-      if (seen.contains(key)) ++duplicates;
-      seen[key] = now;
-    });
+    ScheduleSink sink;
+    line.set_sink(&sink);
     for (int f = 0; f < flits; ++f) {
       line.inject(noc::Flit(f, std::vector<noc::SlopeBiasPair>(8)));
     }
@@ -50,15 +57,15 @@ TEST_P(NocProperties, ObservationScheduleMatchesSmartFormula) {
       line.tick(static_cast<sim::Cycle>(c));
     }
     EXPECT_TRUE(line.idle());
-    EXPECT_EQ(duplicates, 0);
-    ASSERT_EQ(seen.size(), static_cast<std::size_t>(routers) * flits);
+    EXPECT_EQ(sink.duplicates, 0);
+    ASSERT_EQ(sink.seen.size(), static_cast<std::size_t>(routers) * flits);
     for (int f = 0; f < flits; ++f) {
       for (int j = 0; j < routers; ++j) {
         // Flit f enters the line at cycle f (one injection per cycle) and
         // reaches router j after floor(j / hops) further latchings.
         const sim::Cycle expect =
             static_cast<sim::Cycle>(f) + static_cast<sim::Cycle>(j / hops);
-        const sim::Cycle got = seen[std::make_pair(f, j)];
+        const sim::Cycle got = sink.seen[std::make_pair(f, j)];
         EXPECT_EQ(got, expect)
             << "routers=" << routers << " hops=" << hops << " flit=" << f
             << " router=" << j;

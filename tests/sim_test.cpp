@@ -198,96 +198,45 @@ TEST(Stats, CounterIdInterningIsIdempotent) {
   EXPECT_EQ(stats.counter_id("noc.observations"), a);
 }
 
-TEST(Stats, DenseAndStringFacesShareOneCounter) {
-  StatRegistry stats;
-  const StatId id = stats.counter_id("ops");
-  stats.bump(id, 5);
-  stats.bump("ops", 2);
-  stats.bump(id);
-  EXPECT_EQ(stats.counter("ops"), 8u);
-  EXPECT_EQ(stats.counter(id), 8u);
-  // A name first seen by the string face resolves to the same counter.
-  stats.bump("late", 3);
-  EXPECT_EQ(stats.counter(stats.counter_id("late")), 3u);
-}
-
-TEST(Stats, ToTableParityBetweenFaces) {
-  StatRegistry by_string;
-  by_string.bump("alpha", 3);
-  by_string.bump("beta", 7);
-  by_string.sample("gamma", 1.5);
-  by_string.sample("gamma", 2.5);
-
-  StatRegistry by_id;
-  const StatId alpha = by_id.counter_id("alpha");
-  const StatId beta = by_id.counter_id("beta");
-  const SampleId gamma = by_id.sample_id("gamma");
-  // Interned but never bumped or sampled: must not add a row.
-  (void)by_id.counter_id("never_bumped");
-  (void)by_id.sample_id("never_sampled");
-  by_id.bump(alpha, 2);
-  by_id.bump(alpha);
-  by_id.bump(beta, 7);
-  by_id.sample(gamma, 1.5);
-  by_id.sample("gamma", 2.5);  // the string face reaches the same one
-
-  EXPECT_EQ(by_string.to_table().to_ascii(), by_id.to_table().to_ascii());
-  EXPECT_EQ(by_id.to_table().to_ascii().find("never_bumped"),
-            std::string::npos);
-  EXPECT_EQ(by_id.to_table().to_ascii().find("never_sampled"),
-            std::string::npos);
-  EXPECT_EQ(by_id.sample_count("gamma"), 2u);
-  EXPECT_DOUBLE_EQ(by_id.mean("gamma"), 2.0);
-}
-
-TEST(Stats, ClearZeroesCountersButKeepsIdsValid) {
-  StatRegistry stats;
-  const StatId id = stats.counter_id("x");
-  const SampleId sid = stats.sample_id("y");
-  stats.bump(id, 9);
-  stats.sample(sid, 3.0);
-  stats.clear();
-  EXPECT_EQ(stats.counter(id), 0u);
-  EXPECT_EQ(stats.counter("x"), 0u);
-  EXPECT_EQ(stats.sample_count("y"), 0u);
-  EXPECT_EQ(stats.to_table().to_ascii().find("y (mean)"), std::string::npos);
-  stats.bump(id, 4);  // the handles survive the clear
-  stats.sample(sid, 5.0);
-  EXPECT_EQ(stats.counter("x"), 4u);
-  EXPECT_DOUBLE_EQ(stats.mean("y"), 5.0);
-}
-
 TEST(Stats, CountersAccumulate) {
   StatRegistry stats;
-  stats.bump("flits");
-  stats.bump("flits", 4);
+  const StatId flits = stats.counter_id("flits");
+  stats.bump(flits);
+  stats.bump(flits, 4);
+  EXPECT_EQ(stats.counter(flits), 5u);
   EXPECT_EQ(stats.counter("flits"), 5u);
   EXPECT_EQ(stats.counter("missing"), 0u);
 }
 
 TEST(Stats, AccumulatorsTrackMeanAndSum) {
   StatRegistry stats;
-  stats.sample("latency", 2.0);
-  stats.sample("latency", 4.0);
+  const SampleId latency = stats.sample_id("latency");
+  stats.sample(latency, 2.0);
+  stats.sample(latency, 4.0);
   EXPECT_DOUBLE_EQ(stats.mean("latency"), 3.0);
   EXPECT_DOUBLE_EQ(stats.sum("latency"), 6.0);
   EXPECT_EQ(stats.sample_count("latency"), 2u);
 }
 
-TEST(Stats, ClearResetsEverything) {
+TEST(Stats, InternedButUnusedNamesAddNoRow) {
   StatRegistry stats;
-  stats.bump("x");
-  stats.sample("y", 1.0);
-  stats.clear();
-  EXPECT_EQ(stats.counter("x"), 0u);
-  EXPECT_EQ(stats.sample_count("y"), 0u);
+  const StatId alpha = stats.counter_id("alpha");
+  (void)stats.counter_id("never_bumped");
+  (void)stats.sample_id("never_sampled");
+  stats.bump(alpha, 3);
+  const std::string ascii = stats.to_table().to_ascii();
+  EXPECT_NE(ascii.find("alpha"), std::string::npos);
+  EXPECT_EQ(ascii.find("never_bumped"), std::string::npos);
+  EXPECT_EQ(ascii.find("never_sampled"), std::string::npos);
 }
 
 TEST(Stats, TableContainsAllEntries) {
   StatRegistry stats;
-  stats.bump("alpha", 3);
-  stats.sample("beta", 1.5);
+  stats.bump(stats.counter_id("alpha"), 3);
+  stats.sample(stats.sample_id("beta"), 1.5);
   stats.histogram("gamma").record(2.0);
+  EXPECT_NE(stats.find_histogram("gamma"), nullptr);
+  EXPECT_EQ(stats.find_histogram("missing"), nullptr);
   const auto table = stats.to_table();
   const std::string ascii = table.to_ascii();
   EXPECT_NE(ascii.find("alpha"), std::string::npos);
@@ -332,25 +281,6 @@ TEST(Histogram, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(hist.max(), 0.0);
   EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
   EXPECT_DOUBLE_EQ(hist.sum(), 0.0);
-}
-
-TEST(Histogram, ClearRestoresEmptyContract) {
-  Histogram hist;
-  hist.record(4.0);
-  hist.record(-2.0);
-  hist.clear();
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.percentile(50.0), 0.0);
-}
-
-TEST(Histogram, RegistryClearDropsHistograms) {
-  StatRegistry stats;
-  stats.histogram("lat").record(3.0);
-  EXPECT_NE(stats.find_histogram("lat"), nullptr);
-  stats.clear();
-  EXPECT_EQ(stats.find_histogram("lat"), nullptr);
 }
 
 }  // namespace
