@@ -91,10 +91,6 @@ std::string Object::str() const {
 
 void Document::rows(std::string_view key,
                     const std::vector<Object>& values) {
-  if (values.empty()) {
-    member(key, "[]");
-    return;
-  }
   std::string out = "[\n";
   for (std::size_t i = 0; i < values.size(); ++i) {
     out += "    " + values[i].str() + (i + 1 < values.size() ? ",\n" : "\n");

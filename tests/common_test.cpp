@@ -289,7 +289,8 @@ TEST(Json, DocumentPutsOneMemberAndOneRowPerLine) {
             "    {\"n\": 1},\n"
             "    {\"n\": 2}\n"
             "  ],\n"
-            "  \"empty\": [],\n"
+            "  \"empty\": [\n"
+            "  ],\n"
             "  \"summary\": {\"graphs\": 2}\n"
             "}\n");
 }
